@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .linalg import hermitian_sqrt, jacobi_eigvalsh
 from .states import DensityMatrix, Qubit, partial_trace
 
 __all__ = [
@@ -132,12 +131,7 @@ def _entropy_bits(eigs: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -Tr(rho log2 rho) in bits, in [0, log2 dim]."""
-    if rho.dim == 2:
-        m = rho.mat
-        mean = 0.5 * (m[0, 0].real + m[1, 1].real)
-        disc = math.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
-        return _entropy_bits(np.array([mean - disc, mean + disc]))
-    return _entropy_bits(jacobi_eigvalsh(rho.mat))
+    return _entropy_bits(np.linalg.eigvalsh(rho.mat))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -355,17 +349,16 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 def concurrence(rho: DensityMatrix) -> float:
     """Spin-flip concurrence of a two-qubit state, in [0, 1].
 
-    Computed from the Hermitian similarity sqrt(rho) rho~ sqrt(rho) of the
-    product rho rho~, rho~ = (sy x sy) rho* (sy x sy), which shares its
-    eigenvalues; entrywise conjugation is taken in the fixed basis.
+    The square roots of the eigenvalues of rho rho~, rho~ = (sy x sy) rho*
+    (sy x sy), are the singular values of sqrt(rho) sqrt(rho~), where
+    sqrt(rho~) = (sy x sy) sqrt(rho)* (sy x sy) (Wootters, PRL 80, 2245,
+    1998); entrywise conjugation is taken in the fixed basis.  Taking
+    singular values avoids the square root of a spectrum that is near zero,
+    which would amplify round-off to ~1e-8.
     """
     if rho.dim != 4:
         raise ValueError("concurrence expects a 4x4 state")
-    m = rho.mat
-    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    root = hermitian_sqrt(m)
-    w = jacobi_eigvalsh(root @ flipped @ root)
-    if w[0] < -_EIG_CLIP:
-        raise ValueError(f"spin-flip spectrum has eigenvalue {w[0]:.3e} beyond tolerance")
-    s = np.sqrt(np.clip(w, 0.0, None))[::-1]
+    w, v = np.linalg.eigh(rho.mat)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    s = np.linalg.svd(root @ _SPIN_FLIP @ root.conj() @ _SPIN_FLIP, compute_uv=False)
     return max(0.0, float(s[0] - s[1] - s[2] - s[3]))

@@ -67,16 +67,6 @@ class ReservoirParams:
         """Oscillation/damping rate sqrt(|2*gamma0*lambda - lambda**2|), physical units."""
         return self.gamma0 * math.sqrt(abs(2.0 * self.lambda_ratio - self.lambda_ratio**2))
 
-    @property
-    def reservoir_correlation_time(self) -> float:
-        """Memory time of the reservoir, ~ 1/lambda."""
-        return 1.0 / self.lam
-
-    @property
-    def relaxation_time(self) -> float:
-        """Qubit relaxation time scale, ~ 1/gamma0."""
-        return 1.0 / self.gamma0
-
 
 class NoZerosError(ValueError):
     """The amplitude factor has no positive zeros in this regime."""
@@ -97,8 +87,8 @@ def evaluate_chi(params: ReservoirParams, t: float) -> float:
     goes negative between its zeros; coherences inherit the sign while
     populations (chi**2) do not.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     lam = params.lambda_ratio
     dd = abs(2.0 * lam - lam * lam)
     d = math.sqrt(dd)

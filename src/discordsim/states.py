@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import jacobi_eigh
-
 __all__ = [
     "Qubit",
     "DensityMatrix",
@@ -43,9 +41,10 @@ class Qubit(enum.Enum):
 class DensityMatrix:
     """Validated 2x2 or 4x4 density matrix in the fixed basis order.
 
-    Construction checks hermiticity and unit trace to 1e-12 and positivity to
-    -1e-10 on the eigenvalues.  Entries are stored exactly as given (read-only);
-    eigenvalue consumers clip round-off negatives at the point of use.
+    Construction checks that every entry is finite, hermiticity and unit
+    trace to 1e-12 and positivity to -1e-10 on the eigenvalues.  Entries are
+    stored exactly as given (read-only); eigenvalue consumers clip round-off
+    negatives at the point of use.
     """
 
     mat: np.ndarray
@@ -54,13 +53,15 @@ class DensityMatrix:
         m = np.array(self.mat, dtype=complex)
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
         herm_err = np.max(np.abs(m - m.conj().T))
         if herm_err > _HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.3e})")
         trace_err = abs(m.trace() - 1.0)
         if trace_err > _TRACE_TOL:
             raise ValueError(f"trace must be 1 (off by {trace_err:.3e})")
-        w = jacobi_eigh(m)[0]
+        w = np.linalg.eigvalsh(m)
         if w[0] < -_POSITIVITY_TOL:
             raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
         m.setflags(write=False)
@@ -72,7 +73,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with (-1e-10, 0) round-off clipped to zero."""
-        w = jacobi_eigh(self.mat)[0]
+        w = np.linalg.eigvalsh(self.mat)
         return np.clip(w, 0.0, None)
 
 
@@ -92,7 +93,7 @@ class KrausPair:
 
 def _check_chi(chi: float) -> float:
     chi = float(chi)
-    if abs(chi) > 1.0 + _CHI_TOL:
+    if not abs(chi) <= 1.0 + _CHI_TOL:  # also rejects NaN
         raise ValueError(f"|chi| must be <= 1, got {chi}")
     return min(1.0, max(-1.0, chi))
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .correlations import (
     CorrelationRecord,
@@ -289,6 +288,9 @@ def detect_discord_zeros(
     values report their two edge times.  A series that never exceeds the
     noise floor collapses to its endpoint times.
     """
+    # Imported here so that CLI start-up does not pay for scipy.signal.
+    from scipy.signal import find_peaks
+
     if not series:
         raise ValueError("series is empty")
     t = np.array([rec.t for rec in series])

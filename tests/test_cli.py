@@ -35,6 +35,18 @@ def test_no_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
+def test_cli_import_leaves_out_scipy_signal():
+    # Only the discord-zero detector needs scipy.signal; CLI start-up should
+    # not pay for importing it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, discordsim.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_unknown_flag_is_usage_error():
     proc = run_cli("evolve", "--bogus", "1")
     assert proc.returncode == 2
@@ -86,9 +98,10 @@ def test_evolve_writes_to_stdout_by_default():
 
 
 def test_evolve_rejects_bad_alpha2():
-    proc = run_cli("evolve", "--alpha2", "1.5", "--tmax", "1", "--steps", "2")
-    assert proc.returncode == 2
-    assert "error" in proc.stderr.lower()
+    for args in (("--alpha2", "1.5", "--tmax", "1"), ("--tmax", "nan")):
+        proc = run_cli("evolve", *args, "--steps", "2")
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr.lower()
 
 
 def _write_bell_matrix(path):
@@ -135,14 +148,16 @@ def test_evolve_raw_state_wrong_length(tmp_path):
 
 
 def test_evolve_raw_state_invalid_matrix(tmp_path):
-    matrix_file = tmp_path / "nonpsd.txt"
-    m = np.diag([1.5, 0.0, 0.0, -0.5]).astype(complex)
-    flat = np.empty((4, 4, 2))
-    flat[..., 0] = m.real
-    flat[..., 1] = m.imag
-    matrix_file.write_text(" ".join(format(x, ".17g") for x in flat.ravel()))
-    proc = run_cli("evolve", "--raw-state", str(matrix_file))
-    assert proc.returncode == 2
+    matrix_file = tmp_path / "matrix.txt"
+    nan_coherence = np.eye(4, dtype=complex) / 4.0
+    nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
+    for m in (np.diag([1.5, 0.0, 0.0, -0.5]).astype(complex), nan_coherence):
+        flat = np.empty((4, 4, 2))
+        flat[..., 0] = m.real
+        flat[..., 1] = m.imag
+        matrix_file.write_text(" ".join(format(x, ".17g") for x in flat.ravel()))
+        proc = run_cli("evolve", "--raw-state", str(matrix_file))
+        assert proc.returncode == 2
 
 
 def test_sweep_preset_with_overrides(tmp_path):

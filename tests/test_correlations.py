@@ -290,6 +290,25 @@ def test_concurrence_range(rng):
         assert 0.0 <= c <= 1.0 + 1e-12
 
 
+def test_concurrence_x_state_closed_form(rng):
+    # X states: only the diagonal and the rho_14 / rho_23 coherences are
+    # nonzero.  Their concurrence is 2 max(0, |rho_14| - sqrt(rho_22 rho_33),
+    # |rho_23| - sqrt(rho_11 rho_44)) (Yu-Eberly; Bellomo et al., PRL 99,
+    # 160502, 2007).  About a fifth of the samples put |rho_14| exactly on
+    # its positivity edge sqrt(rho_11 rho_44), where the state is singular.
+    for _ in range(400):
+        p = rng.dirichlet(np.ones(4))
+        edge14 = math.sqrt(p[0] * p[3])
+        edge23 = math.sqrt(p[1] * p[2])
+        c14 = min(rng.uniform(0.0, 1.25), 1.0) * edge14 * np.exp(2j * np.pi * rng.uniform())
+        c23 = rng.uniform(0.0, 1.0) * edge23 * np.exp(2j * np.pi * rng.uniform())
+        m = np.diag(p).astype(complex)
+        m[0, 3], m[3, 0] = c14, np.conj(c14)
+        m[1, 2], m[2, 1] = c23, np.conj(c23)
+        expected = 2.0 * max(0.0, abs(c14) - edge23, abs(c23) - edge14)
+        assert concurrence(DensityMatrix(m)) == pytest.approx(expected, abs=1e-12)
+
+
 # ------------------------------------------------- basis and record types
 
 

@@ -52,8 +52,10 @@ def test_chi_starts_at_one(lam):
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        evaluate_chi(ReservoirParams(lambda_ratio=0.1), -0.5)
+    for lam in (0.1, 10.0):
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                evaluate_chi(ReservoirParams(lambda_ratio=lam), t)
 
 
 def test_chi_first_zero_frozen():

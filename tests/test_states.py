@@ -35,6 +35,10 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+    nan_coherence = np.eye(4, dtype=complex) / 4.0
+    nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        DensityMatrix(nan_coherence)
 
 
 def test_density_matrix_entries_read_only():
@@ -82,6 +86,8 @@ def test_chi_out_of_range_rejected(rng):
         amplitude_damping_kraus(-1.01)
     with pytest.raises(ValueError):
         two_qubit_evolve(random_density(rng, 4), 0.5, 1.2)
+    with pytest.raises(ValueError):
+        single_qubit_evolve(rho, np.nan)
 
 
 def test_kraus_identity_at_unit_chi():
