@@ -109,6 +109,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     params = ReservoirParams(lambda_ratio=args.lambda_ratio)
     times = chi_zeros(params, args.count)
     _write_lines([format(t, ".17g") for t in times], args.output)

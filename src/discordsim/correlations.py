@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import DensityMatrix, Qubit, partial_trace
 
@@ -33,7 +32,16 @@ __all__ = [
 _EIG_CLIP = 1e-10  # round-off negatives below this magnitude are an error
 _ZERO_EIG = 1e-14  # eigenvalues/probabilities below this contribute 0 log 0 = 0
 _SEED_GRID_N = 64
-_NM_OPTIONS = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 600, "maxfev": 900}
+# Compass refinement: a start moves only for a gain above round-off, doubling
+# its step after a move and halving it after a miss; without both rules,
+# near-product states close to the theta = 0 and pi/2 poles wander on
+# round-off for tens of thousands of rounds.  A start stops once its step, in
+# seed-grid spacings, falls below _STEP_TOL (about 2.5e-9 rad in theta).
+_MIN_IMPROVEMENT = 1e-15
+_STEP_TOL = 1e-7
+_COMPASS = np.array(
+    [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float
+) * (0.5 * math.pi / (_SEED_GRID_N - 1), 2.0 * math.pi / _SEED_GRID_N)
 
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -119,14 +127,17 @@ class CorrelationRecord:
             )
 
 
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """Elementwise x log2 x, with 0 log 0 = 0 for entries below _ZERO_EIG."""
+    keep = x > _ZERO_EIG
+    return np.where(keep, x * np.log2(np.where(keep, x, 1.0)), 0.0)
+
+
 def _entropy_bits(eigs: np.ndarray) -> float:
     w = np.asarray(eigs, dtype=float)
     if w.min(initial=0.0) < -_EIG_CLIP:
         raise ValueError(f"negative eigenvalue {w.min():.3e} beyond tolerance")
-    w = w[w > _ZERO_EIG]
-    if w.size == 0:
-        return 0.0
-    return max(0.0, float(-np.sum(w * np.log2(w))))
+    return max(0.0, float(-np.sum(_xlog2x(w))))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -151,121 +162,63 @@ def mutual_information(rho: DensityMatrix) -> float:
     return max(0.0, mi)
 
 
-def _measurement_vector_grid(thetas: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both measurement vectors for flat angle arrays; shape (G, 2)."""
-    ct, st = np.cos(thetas), np.sin(thetas)
-    ep = np.exp(1j * phis)
-    v0 = np.stack([ct.astype(complex), ep * st], axis=-1)
-    v1 = np.stack([st / ep, -ct.astype(complex)], axis=-1)
-    return v0, v1
-
-
-def _entropy2_unnormalized(m00: np.ndarray, m11: np.ndarray, m01: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Entropy in bits of M/p for batched 2x2 Hermitian blocks with trace p."""
-    safe_p = np.where(p > _ZERO_EIG, p, 1.0)
-    mean = 0.5 * (m00 + m11) / safe_p
-    disc = np.hypot(0.5 * (m00 - m11) / safe_p, np.abs(m01) / safe_p)
-    out = np.zeros_like(safe_p)
-    for lam in (mean - disc, mean + disc):
-        lam_safe = np.where(lam > _ZERO_EIG, lam, 1.0)
-        out -= np.where(lam > _ZERO_EIG, lam * np.log2(lam_safe), 0.0)
-    return np.where(p > _ZERO_EIG, np.maximum(out, 0.0), 0.0)
-
-
 class _GainEvaluator:
     """Information gain S(X) - S(X|{measurement on Y}) for one fixed state.
 
-    Holds the state reshaped for vectorized grid evaluation and its 2x2
-    blocks as plain Python complex numbers for a fast scalar path used by
-    the simplex refinement (hundreds of single-point calls per state).
+    For the projector |v><v| on Y, v = (cos theta, e^{i phi} sin theta), the
+    unnormalized conditional state of X is linear in the entries
+    (cos^2, cos sin e^{i phi}, its conjugate, sin^2) of conj(v) v^T, so a batch
+    of G angle pairs costs one (G, 4) @ (4, 4) product with the state
+    regrouped as (Y row, Y column) x (X row, X column).  The second outcome's
+    block is the reduced state of X minus the first.
     """
 
-    __slots__ = ("s_x", "rho_t", "blocks", "measured")
+    __slots__ = ("s_x", "kernel", "reduced")
 
     def __init__(self, rho: DensityMatrix, measured: Qubit):
         if rho.dim != 4:
             raise ValueError("expected a 4x4 state")
-        unmeasured = Qubit.A if measured is Qubit.B else Qubit.B
-        self.s_x = von_neumann_entropy(partial_trace(rho, unmeasured))
-        self.rho_t = rho.mat.reshape(2, 2, 2, 2)
-        m = rho.mat
-        # blocks[a][c] is the 2x2 sub-block m[2a+b, 2c+d] as scalar entries
-        self.blocks = tuple(
-            tuple(
-                (
-                    complex(m[2 * a, 2 * c]),
-                    complex(m[2 * a, 2 * c + 1]),
-                    complex(m[2 * a + 1, 2 * c]),
-                    complex(m[2 * a + 1, 2 * c + 1]),
-                )
-                for c in range(2)
-            )
-            for a in range(2)
-        )
-        self.measured = measured
+        axes = (1, 3, 0, 2) if measured is Qubit.B else (0, 2, 1, 3)
+        self.kernel = rho.mat.reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4)
+        self.reduced = self.kernel[0] + self.kernel[3]
+        self.s_x = _entropy_bits(np.linalg.eigvalsh(self.reduced.reshape(2, 2)))
 
-    def batch(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        """Vectorized gain over flat angle arrays."""
-        v0, v1 = _measurement_vector_grid(thetas, phis)
-        if self.measured is Qubit.B:
-            m0 = np.einsum("gb,abcd,gd->gac", v0.conj(), self.rho_t, v0, optimize=True)
-            m1 = np.einsum("gb,abcd,gd->gac", v1.conj(), self.rho_t, v1, optimize=True)
-        else:
-            m0 = np.einsum("ga,abcd,gc->gbd", v0.conj(), self.rho_t, v0, optimize=True)
-            m1 = np.einsum("ga,abcd,gc->gbd", v1.conj(), self.rho_t, v1, optimize=True)
-        s_cond = np.zeros(thetas.shape, dtype=float)
-        for m in (m0, m1):
-            d00 = m[:, 0, 0].real
-            d11 = m[:, 1, 1].real
-            p = d00 + d11
-            s_cond += p * _entropy2_unnormalized(d00, d11, m[:, 0, 1], p)
-        return self.s_x - s_cond
+    def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+        """Gain over flat angle arrays of any real values."""
+        ct, st = np.cos(thetas), np.sin(thetas)
+        off = ct * st * np.exp(1j * phis)
+        first = np.stack([ct * ct, off, off.conj(), st * st], axis=-1) @ self.kernel
+        return self.s_x - _weighted_entropy(first) - _weighted_entropy(self.reduced - first)
 
-    def scalar(self, theta: float, phi: float) -> float:
-        """Single-point gain without array overhead."""
-        ct, st = math.cos(theta), math.sin(theta)
-        ep = complex(math.cos(phi), math.sin(phi))
-        cep = ep.conjugate()
-        blocks = self.blocks
-        s_cond = 0.0
-        for w0, w1 in ((ct + 0j, ep * st), (cep * st, -ct + 0j)):
-            cw0, cw1 = w0.conjugate(), w1.conjugate()
-            if self.measured is Qubit.B:
-                b = blocks[0][0]
-                m00 = (cw0 * (b[0] * w0 + b[1] * w1) + cw1 * (b[2] * w0 + b[3] * w1)).real
-                b = blocks[1][1]
-                m11 = (cw0 * (b[0] * w0 + b[1] * w1) + cw1 * (b[2] * w0 + b[3] * w1)).real
-                b = blocks[0][1]
-                m01 = cw0 * (b[0] * w0 + b[1] * w1) + cw1 * (b[2] * w0 + b[3] * w1)
-            else:
-                c00, c01 = cw0 * w0, cw0 * w1
-                c10, c11 = cw1 * w0, cw1 * w1
-                b00, b01 = blocks[0][0], blocks[0][1]
-                b10, b11 = blocks[1][0], blocks[1][1]
-                m00 = (c00 * b00[0] + c01 * b01[0] + c10 * b10[0] + c11 * b11[0]).real
-                m01 = c00 * b00[1] + c01 * b01[1] + c10 * b10[1] + c11 * b11[1]
-                m11 = (c00 * b00[3] + c01 * b01[3] + c10 * b10[3] + c11 * b11[3]).real
-            p = m00 + m11
-            if p <= _ZERO_EIG:
-                continue
-            mean = 0.5 * (m00 + m11) / p
-            disc = math.hypot(0.5 * (m00 - m11) / p, abs(m01) / p)
-            s = 0.0
-            for lam in (mean - disc, mean + disc):
-                if lam > _ZERO_EIG:
-                    s -= lam * math.log2(lam)
-            s_cond += p * max(0.0, s)
-        return self.s_x - s_cond
+
+def _weighted_entropy(blocks: np.ndarray) -> np.ndarray:
+    """p S(M/p) in bits for flattened 2x2 Hermitian blocks M of trace p.
+
+    With eigenvalues e+-, p S(M/p) = p log2 p - sum e log2 e.
+    """
+    d00, d11 = blocks[:, 0].real, blocks[:, 3].real
+    p = d00 + d11
+    half_gap = np.hypot(0.5 * (d00 - d11), np.abs(blocks[:, 1]))
+    s = _xlog2x(p) - _xlog2x(0.5 * p + half_gap) - _xlog2x(0.5 * p - half_gap)
+    return np.maximum(s, 0.0)
+
+
+def _angle_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat n x n grid over theta in [0, pi/2] and phi in [0, 2 pi)."""
+    thetas = np.linspace(0.0, 0.5 * math.pi, n)
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return tt.ravel(), pp.ravel()
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Qubit = Qubit.B) -> float:
     """Average entropy of the unmeasured qubit after measuring the other.
 
-    Sum of p_i * S(rho_{X|i}) over the two outcomes; outcomes with
-    probability below 1e-14 contribute zero.
+    Sum of p_i * S(rho_{X|i}) over the two outcomes; eigenvalues and
+    probabilities below 1e-14 contribute zero.
     """
     ev = _GainEvaluator(rho, measured)
-    return ev.s_x - ev.scalar(basis.theta, basis.phi)
+    return ev.s_x - float(ev(np.array([basis.theta]), np.array([basis.phi]))[0])
 
 
 def brute_force_classical_correlation(
@@ -277,11 +230,7 @@ def brute_force_classical_correlation(
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n}")
-    ev = _GainEvaluator(rho, measured)
-    thetas = np.linspace(0.0, 0.5 * math.pi, grid_n)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    gain = ev.batch(tt.ravel(), pp.ravel())
+    gain = _GainEvaluator(rho, measured)(*_angle_grid(grid_n))
     return max(0.0, float(gain.max()))
 
 
@@ -290,37 +239,32 @@ def classical_correlation(
 ) -> tuple[float, MeasurementBasis]:
     """Classical correlation: information gain maximized over projective bases.
 
-    A coarse 64x64 angle grid seeds a Nelder-Mead refinement from the best
-    three seeds; the best refined value and its (folded) measurement angles
+    A coarse 64x64 angle grid seeds a compass search from the best three
+    seeds; each round evaluates the 8 neighbours of every unfinished start in
+    one batch.  The best refined value and its (folded) measurement angles
     are returned.
     """
     ev = _GainEvaluator(rho, measured)
-    thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
-    phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    gain = ev.batch(tt, pp)
+    tt, pp = _angle_grid(_SEED_GRID_N)
+    gain = ev(tt, pp)
 
     order = np.argsort(gain)[::-1][:3]
-    best_val = float(gain[order[0]])
-    best_angles = (float(tt[order[0]]), float(pp[order[0]]))
+    point = np.stack([tt[order], pp[order]], axis=-1)
+    value = gain[order]
+    step = np.full(order.size, 0.5)
+    while (live := np.flatnonzero(step >= _STEP_TOL)).size:
+        trial = point[live, None, :] + step[live, None, None] * _COMPASS
+        trial_gain = ev(trial[..., 0].ravel(), trial[..., 1].ravel()).reshape(live.size, -1)
+        best = trial_gain.argmax(axis=1)
+        top = trial_gain[np.arange(live.size), best]
+        moved = top > value[live] + _MIN_IMPROVEMENT
+        point[live[moved]] = trial[moved, best[moved]]
+        value[live[moved]] = top[moved]
+        step[live] *= np.where(moved, 2.0, 0.5)
 
-    def neg_gain(x):
-        return -ev.scalar(x[0], x[1])
-
-    for idx in order:
-        res = minimize(
-            neg_gain,
-            np.array([tt[idx], pp[idx]]),
-            method="Nelder-Mead",
-            options=_NM_OPTIONS,
-        )
-        if -res.fun > best_val:
-            best_val = -float(res.fun)
-            best_angles = (float(res.x[0]), float(res.x[1]))
-
-    theta, phi = canonical_angles(*best_angles)
-    return max(0.0, best_val), MeasurementBasis(theta, phi)
+    k = int(np.argmax(value))
+    theta, phi = canonical_angles(float(point[k, 0]), float(point[k, 1]))
+    return max(0.0, float(value[k])), MeasurementBasis(theta, phi)
 
 
 def discord_from_parts(total: float, classical: float) -> float:

@@ -123,9 +123,13 @@ def chi_zeros(params: ReservoirParams, n_max: int) -> list[float]:
 
     Raises
     ------
+    ValueError
+        If n_max is negative.
     NoZerosError
         In the Markovian regime, where chi has no positive zeros.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if regime(params) is Regime.MARKOVIAN:
         raise NoZerosError(
             f"chi has no positive zeros for lambda_ratio = {params.lambda_ratio} (Markovian regime)"

@@ -36,15 +36,20 @@ def test_no_subcommand_is_usage_error():
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # Only the discord-zero detector needs scipy.signal; CLI start-up should
-    # not pay for importing it.
+    # Only the discord-zero detector needs scipy (scipy.signal); CLI start-up
+    # should pay for neither it nor scipy.optimize.
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, discordsim.cli; print('scipy.signal' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, discordsim.cli; "
+            "print('scipy.signal' in sys.modules, 'scipy.optimize' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_unknown_flag_is_usage_error():
@@ -58,6 +63,14 @@ def test_zeros_frozen_values():
     got = [float(line) for line in proc.stdout.split()]
     assert abs(got[0] - FIRST_ZERO) < 1e-9
     assert abs(got[1] - SECOND_ZERO) < 1e-9
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_zeros_nonpositive_count_is_usage_error(count):
+    proc = run_cli("zeros", "--lambda-ratio", "0.1", "--count", count)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
 
 
 def test_zeros_markovian_is_error():

@@ -141,6 +141,37 @@ def test_conditional_entropy_classical_right_basis():
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
+def explicit_conditional_entropy(rho, basis, measured):
+    # sum_i p_i S(rho_X|i) the long way: lift each projector to the joint
+    # space, project, trace out the measured qubit, diagonalize.
+    total = 0.0
+    for proj in basis.projectors():
+        lift = np.kron(np.eye(2), proj) if measured is Qubit.B else np.kron(proj, np.eye(2))
+        post = (lift @ rho.mat @ lift).reshape(2, 2, 2, 2)
+        block = np.einsum("abcb->ac", post) if measured is Qubit.B else np.einsum("abad->bd", post)
+        eigs = np.linalg.eigvalsh(block)
+        p = eigs.sum()
+        eigs = eigs[eigs > 1e-14]
+        total -= float(np.sum(eigs * np.log2(eigs / p)))
+    return total
+
+
+def test_conditional_entropy_matches_explicit_projection(rng):
+    states = []
+    for _ in range(4):
+        states.append(random_density(rng, 4))
+        states.append(random_pure(rng, 4))
+        states.append(tensor(random_density(rng, 2), random_density(rng, 2)))
+    for rho in states:
+        thetas = [0.0, np.pi / 2, *rng.uniform(0.0, np.pi / 2, 3)]
+        for theta in thetas:
+            basis = MeasurementBasis(theta, rng.uniform(0.0, 2.0 * np.pi))
+            for side in (Qubit.A, Qubit.B):
+                got = conditional_entropy(rho, basis, side)
+                expected = explicit_conditional_entropy(rho, basis, side)
+                assert got == pytest.approx(expected, abs=1e-12)
+
+
 # ----------------------------------------------------- classical correlation
 
 
@@ -177,6 +208,22 @@ def test_classical_correlation_asymmetric_state(rng):
         refined, _ = classical_correlation(rho, side)
         grid = brute_force_classical_correlation(rho, 64, side)
         assert refined >= grid - 1e-9
+
+
+def test_optimizer_returns_consistent_local_maximum(rng):
+    # The returned value is the gain at the returned basis, and no nearby
+    # basis does better, so the argmax angles mean something.
+    states = [random_density(rng, 4) for _ in range(4)] + [random_pure(rng, 4) for _ in range(4)]
+    steps = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j]
+    for rho in states:
+        for side in (Qubit.A, Qubit.B):
+            value, basis = classical_correlation(rho, side)
+            s_x = von_neumann_entropy(partial_trace(rho, Qubit.A if side is Qubit.B else Qubit.B))
+            assert value == pytest.approx(s_x - conditional_entropy(rho, basis, side), abs=1e-12)
+            for h in (1e-3, 1e-5):
+                for i, j in steps:
+                    near = MeasurementBasis(*canonical_angles(basis.theta + h * i, basis.phi + h * j))
+                    assert s_x - conditional_entropy(rho, near, side) <= value + 1e-12
 
 
 # ------------------------------------------------------------ brute force

@@ -93,6 +93,8 @@ def test_zeros_markovian_raises():
 
 def test_zeros_zero_count_is_empty():
     assert chi_zeros(ReservoirParams(lambda_ratio=0.1), 0) == []
+    with pytest.raises(ValueError):
+        chi_zeros(ReservoirParams(lambda_ratio=0.1), -1)
 
 
 def test_zeros_strictly_increasing():
