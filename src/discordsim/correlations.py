@@ -6,6 +6,9 @@ projective measurements on the other; their difference is the quantum
 discord.  Entanglement is the spin-flip concurrence.  All entropies are in
 bits (base-2 logarithms), which makes the maximally entangled pure state come
 out at discord exactly 1.
+
+Each measure has one kernel over a stack (T, 4, 4) of states; the one-state
+functions call it on a stack of one.
 """
 
 import math
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, Qubit, partial_trace
+from .states import DensityMatrix, Qubit
 
 __all__ = [
     "MeasurementBasis",
@@ -42,6 +45,9 @@ _STEP_TOL = 1e-7
 _COMPASS = np.array(
     [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float
 ) * (0.5 * math.pi / (_SEED_GRID_N - 1), 2.0 * math.pi / _SEED_GRID_N)
+# No evaluator call holds more (state, angle) pairs than half a seed grid, so
+# peak memory does not grow with the number of states in a stack.
+_PAIRS_PER_CALL = _SEED_GRID_N**2 // 2
 
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -62,7 +68,7 @@ def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     return theta, phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementBasis:
     """Rank-1 projective measurement direction on one qubit.
 
@@ -92,7 +98,7 @@ class MeasurementBasis:
         return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelationRecord:
     """All correlation measures of the evolved state at one time point.
 
@@ -130,77 +136,95 @@ class CorrelationRecord:
 def _xlog2x(x: np.ndarray) -> np.ndarray:
     """Elementwise x log2 x, with 0 log 0 = 0 for entries below _ZERO_EIG."""
     keep = x > _ZERO_EIG
-    return np.where(keep, x * np.log2(np.where(keep, x, 1.0)), 0.0)
+    out = np.log2(x, out=np.zeros(x.shape), where=keep)
+    return np.multiply(out, x, out=out, where=keep)
 
 
-def _entropy_bits(eigs: np.ndarray) -> float:
-    w = np.asarray(eigs, dtype=float)
-    if w.min(initial=0.0) < -_EIG_CLIP:
-        raise ValueError(f"negative eigenvalue {w.min():.3e} beyond tolerance")
-    return max(0.0, float(-np.sum(_xlog2x(w))))
+def _entropy_bits(eigs: np.ndarray) -> np.ndarray:  # spectra along the last axis
+    if eigs.min(initial=0.0) < -_EIG_CLIP:
+        raise ValueError(f"negative eigenvalue {eigs.min():.3e} beyond tolerance")
+    return np.maximum(0.0, -np.sum(_xlog2x(eigs), axis=-1))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -Tr(rho log2 rho) in bits, in [0, log2 dim]."""
-    return _entropy_bits(np.linalg.eigvalsh(rho.mat))
+    return float(_entropy_bits(np.linalg.eigvalsh(rho.mat)))
 
 
-def mutual_information(rho: DensityMatrix) -> float:
-    """Total correlation S(A) + S(B) - S(AB) in bits, >= 0.
+def _stack_of_one(rho: DensityMatrix) -> np.ndarray:
+    if rho.dim != 4:
+        raise ValueError("expected a 4x4 state")
+    return rho.mat[None]
+
+
+def mutual_information_stack(stack: np.ndarray) -> np.ndarray:
+    """Total correlation S(A) + S(B) - S(AB) in bits, >= 0, of each state in a stack.
 
     Subadditivity makes the true value nonnegative; round-off undershoot
     within -1e-10 is clamped to 0.
     """
-    if rho.dim != 4:
-        raise ValueError("mutual_information expects a 4x4 state")
-    s_a = von_neumann_entropy(partial_trace(rho, Qubit.A))
-    s_b = von_neumann_entropy(partial_trace(rho, Qubit.B))
-    s_ab = von_neumann_entropy(rho)
-    mi = s_a + s_b - s_ab
-    if mi < -1e-10:
-        raise ValueError(f"mutual information {mi} below round-off floor")
-    return max(0.0, mi)
+    t = stack.reshape(-1, 2, 2, 2, 2)  # indices (state, a, b, a', b')
+    s_a = _entropy_bits(np.linalg.eigvalsh(np.einsum("nabcb->nac", t)))
+    s_b = _entropy_bits(np.linalg.eigvalsh(np.einsum("nabad->nbd", t)))
+    mi = s_a + s_b - _entropy_bits(np.linalg.eigvalsh(stack))
+    if mi.min() < -1e-10:
+        raise ValueError(f"mutual information {mi.min()} below round-off floor")
+    return np.maximum(0.0, mi)
+
+
+def mutual_information(rho: DensityMatrix) -> float:
+    """Total correlation S(A) + S(B) - S(AB) in bits, >= 0."""
+    return float(mutual_information_stack(_stack_of_one(rho))[0])
 
 
 class _GainEvaluator:
-    """Information gain S(X) - S(X|{measurement on Y}) for one fixed state.
+    """Information gain S(X) - S(X|{measurement on Y}) for a stack of states.
 
     For the projector |v><v| on Y, v = (cos theta, e^{i phi} sin theta), the
     unnormalized conditional state of X is linear in the entries
-    (cos^2, cos sin e^{i phi}, its conjugate, sin^2) of conj(v) v^T, so a batch
-    of G angle pairs costs one (G, 4) @ (4, 4) product with the state
-    regrouped as (Y row, Y column) x (X row, X column).  The second outcome's
-    block is the reduced state of X minus the first.
+    (cos^2, cos sin e^{i phi}, its conjugate, sin^2) of conj(v) v^T, so k
+    angle pairs for one state cost one (k, 4) @ (4, 4) product with the
+    state regrouped as (Y row, Y column) x (X row, X column).  The second
+    outcome's block is the reduced state of X minus the first.
     """
 
     __slots__ = ("s_x", "kernel", "reduced")
 
-    def __init__(self, rho: DensityMatrix, measured: Qubit):
-        if rho.dim != 4:
-            raise ValueError("expected a 4x4 state")
-        axes = (1, 3, 0, 2) if measured is Qubit.B else (0, 2, 1, 3)
-        self.kernel = rho.mat.reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4)
-        self.reduced = self.kernel[0] + self.kernel[3]
-        self.s_x = _entropy_bits(np.linalg.eigvalsh(self.reduced.reshape(2, 2)))
+    def __init__(self, stack: np.ndarray, measured: Qubit):
+        axes = (0, 2, 4, 1, 3) if measured is Qubit.B else (0, 1, 3, 2, 4)
+        self.kernel = stack.reshape(-1, 2, 2, 2, 2).transpose(axes).reshape(-1, 4, 4)
+        self.reduced = self.kernel[:, :1] + self.kernel[:, 3:]  # (T, 1, 4)
+        self.s_x = _entropy_bits(np.linalg.eigvalsh(self.reduced.reshape(-1, 2, 2)))
 
-    def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        """Gain over flat angle arrays of any real values."""
-        ct, st = np.cos(thetas), np.sin(thetas)
-        off = ct * st * np.exp(1j * phis)
-        first = np.stack([ct * ct, off, off.conj(), st * st], axis=-1) @ self.kernel
-        return self.s_x - _weighted_entropy(first) - _weighted_entropy(self.reduced - first)
+    def __call__(self, states: np.ndarray | list[int], rows: np.ndarray) -> np.ndarray:
+        """Gains (n, k) of the states with indices ``states`` for their projector rows (n, k, 4)."""
+        # take() gathers small index arrays several times faster than [] indexing.
+        blocks = rows @ self.kernel.take(states, axis=0)
+        gain = self.s_x.take(states)[:, None] - _weighted_entropy(blocks)
+        np.subtract(self.reduced.take(states, axis=0), blocks, out=blocks)  # second outcome
+        return gain - _weighted_entropy(blocks)
+
+
+def _projector_rows(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Rows (cos^2, cos sin e^{i phi}, conjugate, sin^2) for angle arrays of any real values."""
+    ct, st = np.cos(thetas), np.sin(thetas)
+    off = ct * st * np.exp(1j * phis)
+    return np.stack([ct * ct, off, off.conj(), st * st], axis=-1)
 
 
 def _weighted_entropy(blocks: np.ndarray) -> np.ndarray:
-    """p S(M/p) in bits for flattened 2x2 Hermitian blocks M of trace p.
+    """p S(M/p) in bits for 2x2 Hermitian blocks M of trace p, flattened along the last axis.
 
     With eigenvalues e+-, p S(M/p) = p log2 p - sum e log2 e.
     """
-    d00, d11 = blocks[:, 0].real, blocks[:, 3].real
+    d00, d11 = blocks[..., 0].real, blocks[..., 3].real
     p = d00 + d11
-    half_gap = np.hypot(0.5 * (d00 - d11), np.abs(blocks[:, 1]))
-    s = _xlog2x(p) - _xlog2x(0.5 * p + half_gap) - _xlog2x(0.5 * p - half_gap)
-    return np.maximum(s, 0.0)
+    half_gap = np.hypot(0.5 * (d00 - d11), np.abs(blocks[..., 1]))
+    half = 0.5 * p
+    terms = np.empty((3,) + p.shape)  # one _xlog2x call for all three terms
+    terms[0], terms[1], terms[2] = p, half + half_gap, half - half_gap
+    terms = _xlog2x(terms)
+    return np.maximum(terms[0] - terms[1] - terms[2], 0.0)
 
 
 def _angle_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +241,9 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Q
     Sum of p_i * S(rho_{X|i}) over the two outcomes; eigenvalues and
     probabilities below 1e-14 contribute zero.
     """
-    ev = _GainEvaluator(rho, measured)
-    return ev.s_x - float(ev(np.array([basis.theta]), np.array([basis.phi]))[0])
+    ev = _GainEvaluator(_stack_of_one(rho), measured)
+    gain = ev([0], _projector_rows(np.array([[basis.theta]]), np.array([[basis.phi]])))
+    return float(ev.s_x[0] - gain[0, 0])
 
 
 def brute_force_classical_correlation(
@@ -230,41 +255,54 @@ def brute_force_classical_correlation(
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n}")
-    gain = _GainEvaluator(rho, measured)(*_angle_grid(grid_n))
+    ev = _GainEvaluator(_stack_of_one(rho), measured)
+    gain = ev([0], _projector_rows(*_angle_grid(grid_n))[None])
     return max(0.0, float(gain.max()))
+
+
+def classical_correlation_stack(
+    stack: np.ndarray, measured: Qubit = Qubit.B
+) -> tuple[np.ndarray, list[MeasurementBasis]]:
+    """Classical correlation and its (folded) maximizing basis for each state of a stack.
+
+    Each state's best three seeds of a 64x64 angle grid start a compass search;
+    every round advances the unfinished starts of all states together.
+    """
+    ev = _GainEvaluator(stack, measured)
+    n = ev.s_x.size
+    tt, pp = _angle_grid(_SEED_GRID_N)
+    chunks = [slice(lo, lo + _PAIRS_PER_CALL) for lo in range(0, tt.size, _PAIRS_PER_CALL)]
+    order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
+    for i in range(n):
+        gain = np.concatenate([ev([i], _projector_rows(tt[c], pp[c])[None])[0] for c in chunks])
+        order[i] = np.argsort(gain)[::-1][:3]
+        value[i] = gain[order[i]]
+    point = np.stack([tt[order], pp[order]], axis=-1).reshape(-1, 2)
+    value, owner = value.ravel(), np.repeat(np.arange(n), 3)
+    step = np.full(3 * n, 0.5)
+    while (live := np.flatnonzero(step >= _STEP_TOL)).size:
+        for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
+            c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
+            trial = point[c, None, :] + step[c, None, None] * _COMPASS
+            trial_gain = ev(owner[c], _projector_rows(trial[..., 0], trial[..., 1]))
+            best = trial_gain.argmax(axis=1)
+            top = trial_gain.max(axis=1)
+            moved = top > value[c] + _MIN_IMPROVEMENT
+            point[c[moved]] = trial[moved, best[moved]]
+            value[c[moved]] = top[moved]
+            step[c] *= np.where(moved, 2.0, 0.5)
+
+    k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
+    bases = [MeasurementBasis(*canonical_angles(th, ph)) for th, ph in point[k].tolist()]
+    return np.maximum(0.0, value[k]), bases
 
 
 def classical_correlation(
     rho: DensityMatrix, measured: Qubit = Qubit.B
 ) -> tuple[float, MeasurementBasis]:
-    """Classical correlation: information gain maximized over projective bases.
-
-    A coarse 64x64 angle grid seeds a compass search from the best three
-    seeds; each round evaluates the 8 neighbours of every unfinished start in
-    one batch.  The best refined value and its (folded) measurement angles
-    are returned.
-    """
-    ev = _GainEvaluator(rho, measured)
-    tt, pp = _angle_grid(_SEED_GRID_N)
-    gain = ev(tt, pp)
-
-    order = np.argsort(gain)[::-1][:3]
-    point = np.stack([tt[order], pp[order]], axis=-1)
-    value = gain[order]
-    step = np.full(order.size, 0.5)
-    while (live := np.flatnonzero(step >= _STEP_TOL)).size:
-        trial = point[live, None, :] + step[live, None, None] * _COMPASS
-        trial_gain = ev(trial[..., 0].ravel(), trial[..., 1].ravel()).reshape(live.size, -1)
-        best = trial_gain.argmax(axis=1)
-        top = trial_gain[np.arange(live.size), best]
-        moved = top > value[live] + _MIN_IMPROVEMENT
-        point[live[moved]] = trial[moved, best[moved]]
-        value[live[moved]] = top[moved]
-        step[live] *= np.where(moved, 2.0, 0.5)
-
-    k = int(np.argmax(value))
-    theta, phi = canonical_angles(float(point[k, 0]), float(point[k, 1]))
-    return max(0.0, float(value[k])), MeasurementBasis(theta, phi)
+    """Classical correlation of one state and its maximizing measurement basis."""
+    value, bases = classical_correlation_stack(_stack_of_one(rho), measured)
+    return float(value[0]), bases[0]
 
 
 def discord_from_parts(total: float, classical: float) -> float:
@@ -290,8 +328,8 @@ _SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Spin-flip concurrence of a two-qubit state, in [0, 1].
+def concurrence_stack(stack: np.ndarray) -> np.ndarray:
+    """Spin-flip concurrence, in [0, 1], of each state in a stack (T, 4, 4).
 
     The square roots of the eigenvalues of rho rho~, rho~ = (sy x sy) rho*
     (sy x sy), are the singular values of sqrt(rho) sqrt(rho~), where
@@ -300,9 +338,12 @@ def concurrence(rho: DensityMatrix) -> float:
     singular values avoids the square root of a spectrum that is near zero,
     which would amplify round-off to ~1e-8.
     """
-    if rho.dim != 4:
-        raise ValueError("concurrence expects a 4x4 state")
-    w, v = np.linalg.eigh(rho.mat)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w, v = np.linalg.eigh(stack)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     s = np.linalg.svd(root @ _SPIN_FLIP @ root.conj() @ _SPIN_FLIP, compute_uv=False)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
+    return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Spin-flip concurrence of a two-qubit state, in [0, 1]."""
+    return float(concurrence_stack(_stack_of_one(rho))[0])

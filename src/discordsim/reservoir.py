@@ -1,16 +1,16 @@
 """Exact decay amplitude for a qubit in a zero-temperature Lorentzian reservoir.
 
-All public entry points work in dimensionless time ``gamma0 * t``; the decay
-rate ``gamma0`` only sets physical scales reported by accessors.  The central
-object is the amplitude suppression factor ``chi(t)``: excited-state
-populations scale as ``chi**2`` and coherences as ``chi``.  Below spectral
-width ``lambda = 2 * gamma0`` the reservoir memory makes ``chi`` oscillate
-through discrete zeros; above it the decay is monotone.
+All entry points work in dimensionless time ``gamma0 * t``, so a reservoir is
+fixed by its spectral width over its decay rate alone.  The central object is
+the amplitude suppression factor ``chi(t)``: excited-state populations scale
+as ``chi**2`` and coherences as ``chi``.  Below spectral width
+``lambda = 2 * gamma0`` the reservoir memory makes ``chi`` oscillate through
+discrete zeros; above it the decay is monotone.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,8 @@ __all__ = [
     "regime",
     "evaluate_chi",
     "chi_zeros",
-    "spectral_density",
     "solve_memory_kernel",
 ]
-
-# Width of the degenerate band around lambda_ratio = 2 where the closed form
-# switches to its analytic limit to avoid 0/0 in the (lambda/d) sin term.
-_DEGENERATE_BAND = 1e-9
 
 
 class Regime(enum.Enum):
@@ -37,35 +32,13 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class ReservoirParams:
-    """Lorentzian reservoir coupling, as (decay rate, spectral width / decay rate).
+    """Lorentzian reservoir coupling: spectral width over decay rate, lambda / gamma0 > 0."""
 
-    Parameters
-    ----------
-    gamma0 : flat-spectrum decay rate of the excited state; sets the time unit.
-    lambda_ratio : spectral width over decay rate, > 0.
-    omega0 : optional carrier frequency; enters only `spectral_density`
-        (the dynamics are computed in the frame where it cancels).
-    """
-
-    gamma0: float = 1.0
     lambda_ratio: float = 1.0
-    omega0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
-            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if not (math.isfinite(self.lambda_ratio) and self.lambda_ratio > 0):
             raise ValueError(f"lambda_ratio must be positive and finite, got {self.lambda_ratio}")
-
-    @property
-    def lam(self) -> float:
-        """Spectral width in physical units."""
-        return self.lambda_ratio * self.gamma0
-
-    @property
-    def d(self) -> float:
-        """Oscillation/damping rate sqrt(|2*gamma0*lambda - lambda**2|), physical units."""
-        return self.gamma0 * math.sqrt(abs(2.0 * self.lambda_ratio - self.lambda_ratio**2))
 
 
 class NoZerosError(ValueError):
@@ -80,31 +53,34 @@ def regime(params: ReservoirParams) -> Regime:
     return Regime.NON_MARKOVIAN if params.lambda_ratio < 2.0 else Regime.MARKOVIAN
 
 
-def evaluate_chi(params: ReservoirParams, t: float) -> float:
+def evaluate_chi(params: ReservoirParams, t):
     """Amplitude factor chi at dimensionless time t = gamma0 * t_phys.
 
-    chi(0) = 1 and |chi| <= 1 for all t >= 0.  In the oscillatory regime chi
-    goes negative between its zeros; coherences inherit the sign while
-    populations (chi**2) do not.
+    ``t`` is a time or an array of times; an array gives an array of the
+    same shape.  chi(0) = 1 and |chi| <= 1 for all t >= 0.  In the
+    oscillatory regime chi goes negative between its zeros; coherences
+    inherit the sign while populations (chi**2) do not.
+
+    With h = lambda t / 2 and x = d t / 2, chi = exp(-h) (cos x + h sin(x)/x)
+    below lambda = 2 and the same with cosh and sinh from 2 on; neither form
+    has the factor lambda / d that diverges at lambda = 2.
     """
+    if isinstance(t, np.ndarray):
+        return np.array([evaluate_chi(params, ti) for ti in t.ravel().tolist()]).reshape(t.shape)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be nonnegative and finite, got {t}")
     lam = params.lambda_ratio
-    dd = abs(2.0 * lam - lam * lam)
-    d = math.sqrt(dd)
-    envelope_exponent = -0.5 * lam * t
-    if d < _DEGENERATE_BAND:
-        # Analytic lambda_ratio -> 2 limit.
-        return math.exp(envelope_exponent) * (1.0 + 0.5 * lam * t)
+    d = math.sqrt(lam * abs(2.0 - lam))
+    h = 0.5 * lam * t
     x = 0.5 * d * t
     if lam < 2.0:
-        return math.exp(envelope_exponent) * (math.cos(x) + (lam / d) * math.sin(x))
-    # Monotone branch, written as a sum of two decaying exponentials so that
-    # exp(-lam*t/2) * cosh(d*t/2) never overflows for large lam * t.
+        return math.exp(-h) * (math.cos(x) + h * (math.sin(x) / x if x else 1.0))
+    if x <= 1.0:
+        return math.exp(-h) * (math.cosh(x) + h * (math.sinh(x) / x if x else 1.0))
+    # Beyond x = 1, a sum of two decaying exponentials, so that
+    # exp(-h) * cosh(x) never overflows for large lambda * t.
     ratio = lam / d
-    return 0.5 * (1.0 + ratio) * math.exp(envelope_exponent + x) + 0.5 * (1.0 - ratio) * math.exp(
-        envelope_exponent - x
-    )
+    return 0.5 * (1.0 + ratio) * math.exp(x - h) + 0.5 * (1.0 - ratio) * math.exp(-x - h)
 
 
 def _chi_zero_formula(params: ReservoirParams, n: int) -> float:
@@ -164,17 +140,6 @@ def _polish_zero(params: ReservoirParams, t0: float, half_width: float = 0.01) -
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
-
-
-def spectral_density(params: ReservoirParams, omega: float) -> float:
-    """Lorentzian spectral weight J(omega), physical units.
-
-    J(omega) = gamma0 * lambda**2 / (2 pi ((omega0 - omega)**2 + lambda**2));
-    integrates to gamma0 * lambda / 2 over the real line.
-    """
-    lam = params.lam
-    detuning = params.omega0 - omega
-    return params.gamma0 * lam * lam / (2.0 * math.pi * (detuning * detuning + lam * lam))
 
 
 def solve_memory_kernel(params: ReservoirParams, t_grid: np.ndarray) -> np.ndarray:

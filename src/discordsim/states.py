@@ -2,9 +2,9 @@
 
 Basis conventions are fixed once and used everywhere: single-qubit basis
 {|1>, |0>} (excited first), two-qubit basis {|11>, |10>, |01>, |00>}.
-The channel is the operator-sum realization of the exact single-qubit decay
-map: populations scale by chi**2, coherences by chi, with chi allowed to be
-negative in the oscillatory reservoir regime.
+The channel applies the exact single-qubit decay map to each qubit, for a
+whole array of amplitudes at once: populations scale by chi**2, coherences by
+chi, with chi allowed to be negative in the oscillatory reservoir regime.
 """
 
 import enum
@@ -50,22 +50,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex)
-        if m.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix has non-finite entries")
-        herm_err = np.max(np.abs(m - m.conj().T))
-        if herm_err > _HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.3e})")
-        trace_err = abs(m.trace() - 1.0)
-        if trace_err > _TRACE_TOL:
-            raise ValueError(f"trace must be 1 (off by {trace_err:.3e})")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -_POSITIVITY_TOL:
-            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", validate_states(np.asarray(self.mat)[None])[0])
 
     @property
     def dim(self) -> int:
@@ -75,6 +60,27 @@ class DensityMatrix:
         """Ascending eigenvalues with (-1e-10, 0) round-off clipped to zero."""
         w = np.linalg.eigvalsh(self.mat)
         return np.clip(w, 0.0, None)
+
+
+def validate_states(m) -> np.ndarray:
+    """Read-only complex copy of a stack (T, n, n), n in {2, 4}, of density
+    matrices, checked as `DensityMatrix` describes; the worst matrix is reported."""
+    m = np.array(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"density matrices must be 2x2 or 4x4, got a stack of shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("density matrix has non-finite entries")
+    herm_err = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+    if herm_err > _HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.3e})")
+    trace_err = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
+    if trace_err > _TRACE_TOL:
+        raise ValueError(f"trace must be 1 (off by {trace_err:.3e})")
+    w_min = np.linalg.eigvalsh(m)[..., 0].min()
+    if w_min < -_POSITIVITY_TOL:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w_min:.3e})")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -91,11 +97,12 @@ class KrausPair:
             raise ValueError(f"Kraus pair is not trace preserving (defect {err:.3e})")
 
 
-def _check_chi(chi: float) -> float:
-    chi = float(chi)
-    if not abs(chi) <= 1.0 + _CHI_TOL:  # also rejects NaN
-        raise ValueError(f"|chi| must be <= 1, got {chi}")
-    return min(1.0, max(-1.0, chi))
+def _check_chi(chi) -> np.ndarray:
+    chi = np.asarray(chi, dtype=float)
+    bad = chi[~(np.abs(chi) <= 1.0 + _CHI_TOL)]  # also catches NaN
+    if bad.size:
+        raise ValueError(f"|chi| must be <= 1, got {bad[0]}")
+    return np.clip(chi, -1.0, 1.0)
 
 
 def pure_state(amplitudes) -> DensityMatrix:
@@ -146,30 +153,25 @@ def amplitude_damping_kraus(chi: float) -> KrausPair:
     return KrausPair(k0, k1)
 
 
-def apply_kraus(pair: KrausPair, rho: DensityMatrix) -> DensityMatrix:
-    """k0 rho k0^dag + k1 rho k1^dag."""
-    m = rho.mat
-    out = pair.k0 @ m @ pair.k0.conj().T + pair.k1 @ m @ pair.k1.conj().T
-    return DensityMatrix(out)
+def evolve_stack(rho0: DensityMatrix, chi_a, chi_b) -> np.ndarray:
+    """Unvalidated states (T, 4, 4): rho0 under amplitudes chi_a on qubit A, chi_b on B."""
+    if rho0.dim != 4:
+        raise ValueError("the two-qubit channel expects a 4x4 state")
+    chi = np.stack(np.broadcast_arrays(np.atleast_1d(_check_chi(chi_a)), _check_chi(chi_b)))
+    # Decay maps s[q, t, i, j, k, l] of qubits q = A, B: out[i, j] = sum s in[k, l].
+    s = np.zeros(chi.shape + (2, 2, 2, 2))
+    s[..., 0, 0, 0, 0] = chi * chi
+    s[..., 1, 1, 0, 0] = 1.0 - chi * chi
+    s[..., 0, 1, 0, 1] = chi
+    s[..., 1, 0, 1, 0] = chi
+    s[..., 1, 1, 1, 1] = 1.0
+    rho = rho0.mat.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
+    return np.einsum("tacwy,tbdxz,wxyz->tabcd", s[0], s[1], rho).reshape(-1, 4, 4)
 
 
 def two_qubit_evolve(rho0: DensityMatrix, chi_a: float, chi_b: float) -> DensityMatrix:
-    """Independent-reservoir channel on a 4x4 state.
-
-    Applies the tensor products of the single-qubit Kraus operators for
-    amplitude chi_a on qubit A and chi_b on qubit B.
-    """
-    if rho0.dim != 4:
-        raise ValueError("two_qubit_evolve expects a 4x4 state")
-    ka = amplitude_damping_kraus(chi_a)
-    kb = amplitude_damping_kraus(chi_b)
-    m = rho0.mat
-    out = np.zeros((4, 4), dtype=complex)
-    for ki in (ka.k0, ka.k1):
-        for kj in (kb.k0, kb.k1):
-            op = np.kron(ki, kj)
-            out += op @ m @ op.conj().T
-    return DensityMatrix(out)
+    """Independent-reservoir channel on a 4x4 state: amplitude chi_a on qubit A, chi_b on B."""
+    return DensityMatrix(evolve_stack(rho0, chi_a, chi_b)[0])
 
 
 def tensor(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:

@@ -16,14 +16,14 @@ import numpy as np
 
 from .correlations import (
     CorrelationRecord,
-    classical_correlation,
-    concurrence,
+    classical_correlation_stack,
+    concurrence_stack,
     discord_from_parts,
-    mutual_information,
+    mutual_information_stack,
 )
 from .reservoir import ReservoirParams, evaluate_chi
 from .scenarios import Family, StateFamily, build_state
-from .states import Qubit, two_qubit_evolve
+from .states import Qubit, evolve_stack, validate_states
 
 __all__ = [
     "Axis",
@@ -156,7 +156,7 @@ class SweepConfig:
         return np.linspace(0.0, self.t_max, self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EsdReport:
     """Where entanglement died for good, and where it came back above threshold."""
 
@@ -179,26 +179,21 @@ def trajectory_from_state(
 ) -> list[CorrelationRecord]:
     """Correlation measures along a time grid for an arbitrary initial state.
 
-    Each point is independent: the initial state is pushed through the
-    decay channel with the amplitude factor at that time, then concurrence,
-    mutual information, classical correlation (with its maximizing basis),
-    and discord are evaluated on the resulting state.
+    The initial state is pushed through the decay channel as one (T, 4, 4)
+    stack, validated once; concurrence, mutual information, classical
+    correlation (with its maximizing basis) and discord are evaluated on it.
     """
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.ndim != 1 or t_arr.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array of times")
-    records = []
-    for t in t_arr:
-        chi = evaluate_chi(params, float(t))
-        rho_t = two_qubit_evolve(rho0, chi, chi)
-        conc = concurrence(rho_t)
-        total = mutual_information(rho_t)
-        classical, basis = classical_correlation(rho_t, measured)
-        disc = discord_from_parts(total, classical)
-        records.append(
-            CorrelationRecord(float(t), conc, total, classical, disc, basis)
-        )
-    return records
+    chi = evaluate_chi(params, t_arr)
+    stack = validate_states(evolve_stack(rho0, chi, chi))
+    conc, total = concurrence_stack(stack).tolist(), mutual_information_stack(stack).tolist()
+    classical, bases = classical_correlation_stack(stack, measured)
+    return [
+        CorrelationRecord(t, c, i, j, discord_from_parts(i, j), basis)
+        for t, c, i, j, basis in zip(t_arr.tolist(), conc, total, classical.tolist(), bases)
+    ]
 
 
 def evolve_trajectory(
@@ -346,13 +341,14 @@ def format_csv_rows(
     well defined.
     """
     lines = []
-    for rec in records:
+    chis = evaluate_chi(params, np.array([rec.t for rec in records]))
+    for rec, chi in zip(records, chis.tolist()):
         row = (
             rec.t,
             alpha_sq,
             r,
             params.lambda_ratio,
-            evaluate_chi(params, rec.t),
+            chi,
             rec.concurrence,
             rec.mutual_info,
             rec.classical_corr,

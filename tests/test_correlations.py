@@ -25,7 +25,12 @@ from discordsim import (
     tensor,
     von_neumann_entropy,
 )
-from discordsim.correlations import canonical_angles
+from discordsim.correlations import (
+    canonical_angles,
+    classical_correlation_stack,
+    concurrence_stack,
+    mutual_information_stack,
+)
 
 from conftest import random_density, random_pure, random_unitary
 
@@ -427,3 +432,28 @@ def test_property_pure_discord_is_marginal_entropy(alpha_sq, seed):
     psi = random_pure(rng, 4)
     s_a = von_neumann_entropy(partial_trace(psi, Qubit.A))
     assert abs(quantum_discord(psi) - s_a) < 1e-6
+
+
+# ----------------------------------------------------------- stack kernels
+
+
+def test_stack_rows_match_one_state_calls(rng):
+    # A compass start evaluated against another state's kernel would show
+    # up here as a row that differs from its one-state call.
+    states = [random_density(rng, 4) for _ in range(4)]
+    states += [random_pure(rng) for _ in range(3)]
+    states += [tensor(random_density(rng, 2), random_density(rng, 2)) for _ in range(3)]
+    states += [CLASSICAL, BELL]
+    stack = np.stack([s.mat for s in states])
+    conc = concurrence_stack(stack)
+    total = mutual_information_stack(stack)
+    for measured in (Qubit.A, Qubit.B):
+        classical, bases = classical_correlation_stack(stack, measured)
+        for k, rho in enumerate(states):
+            j, basis = classical_correlation(rho, measured)
+            assert abs(classical[k] - j) < 1e-12
+            h_row = conditional_entropy(rho, bases[k], measured)
+            assert abs(h_row - conditional_entropy(rho, basis, measured)) < 1e-12
+    for k, rho in enumerate(states):
+        assert abs(conc[k] - concurrence(rho)) < 1e-12
+        assert abs(total[k] - mutual_information(rho)) < 1e-12

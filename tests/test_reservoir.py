@@ -1,14 +1,14 @@
-"""Amplitude factor, its zeros, the spectral density, and the kernel solver."""
+"""Amplitude factor, its zeros, and the kernel solver."""
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from discordsim import (
     NoZerosError,
@@ -18,7 +18,6 @@ from discordsim import (
     evaluate_chi,
     regime,
     solve_memory_kernel,
-    spectral_density,
 )
 
 # Vanishing times of the amplitude factor for lambda_ratio = 0.1, frozen from
@@ -29,10 +28,6 @@ SECOND_ZERO = 22.656649994605434
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ReservoirParams(gamma0=0.0)
-    with pytest.raises(ValueError):
-        ReservoirParams(gamma0=-1.0)
     with pytest.raises(ValueError):
         ReservoirParams(lambda_ratio=0.0)
     with pytest.raises(ValueError):
@@ -127,30 +122,37 @@ def test_degenerate_boundary_continuity():
         assert abs(evaluate_chi(hi, t) - c) < 1e-6
 
 
-def test_spectral_density_peak_value():
-    params = ReservoirParams(gamma0=1.0, lambda_ratio=0.3, omega0=5.0)
-    assert spectral_density(params, 5.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+def _chi_reference(lam: float, t: float) -> float:
+    """chi for lambda_ratio >= 2 in 50-digit decimal arithmetic (exp and sqrt only)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam_d, t_d = Decimal(lam), Decimal(t)
+        h = lam_d * t_d / 2
+        if lam == 2.0:
+            return float((-h).exp() * (1 + h))
+        d = (lam_d * (lam_d - 2)).sqrt()
+        up, down = (d * t_d / 2).exp(), (-d * t_d / 2).exp()
+        return float((-h).exp() * ((up + down) / 2 + lam_d / d * (up - down) / 2))
 
 
-def test_spectral_density_even_about_center():
-    params = ReservoirParams(gamma0=2.0, lambda_ratio=0.7, omega0=3.0)
-    for delta in (0.1, 1.0, 4.7):
-        assert spectral_density(params, 3.0 + delta) == pytest.approx(
-            spectral_density(params, 3.0 - delta), rel=1e-12
-        )
+@pytest.mark.parametrize("lam", [2.0, 2.0 + 4.5e-16, 2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 2e-9, 2.5, 10.0])
+def test_chi_accurate_at_and_above_critical_width(lam):
+    # Just above lambda_ratio = 2 the two-exponential form cancels terms of
+    # size lambda/d and lost up to ~1e-9 here.
+    params = ReservoirParams(lambda_ratio=lam)
+    for t in np.linspace(0.0, 40.0, 161):
+        assert abs(evaluate_chi(params, float(t)) - _chi_reference(lam, float(t))) < 1e-15
 
 
-def test_spectral_density_normalization():
-    params = ReservoirParams(gamma0=1.0, lambda_ratio=0.5, omega0=0.0)
-    total, _ = quad(
-        lambda w: spectral_density(params, w),
-        -50000.0,
-        50000.0,
-        points=[-2.0, 0.0, 2.0],
-        limit=800,
-    )
-    expected = params.gamma0 * params.lam / 2.0
-    assert total == pytest.approx(expected, rel=1e-4)
+def test_chi_array_matches_scalar_calls():
+    ts = np.linspace(0.0, 30.0, 60).reshape(3, 20)
+    for lam in (0.1, 2.0, 10.0):
+        params = ReservoirParams(lambda_ratio=lam)
+        chis = evaluate_chi(params, ts)
+        assert chis.shape == ts.shape
+        assert chis.tolist() == [[evaluate_chi(params, t) for t in row] for row in ts.tolist()]
+    with pytest.raises(ValueError):
+        evaluate_chi(ReservoirParams(lambda_ratio=0.1), np.array([0.0, np.nan]))
 
 
 def test_kernel_initial_condition():

@@ -12,7 +12,6 @@ from discordsim import (
     KrausPair,
     Qubit,
     amplitude_damping_kraus,
-    apply_kraus,
     excited_state,
     ground_state,
     partial_trace,
@@ -22,6 +21,7 @@ from discordsim import (
     two_qubit_evolve,
     von_neumann_entropy,
 )
+from discordsim.states import evolve_stack, validate_states
 
 from conftest import random_density
 
@@ -39,6 +39,18 @@ def test_density_matrix_validation():
     nan_coherence[0, 1] = nan_coherence[1, 0] = np.nan
     with pytest.raises(ValueError):
         DensityMatrix(nan_coherence)
+
+
+def test_validate_states_checks_every_row(rng):
+    good = np.stack([random_density(rng, 4).mat for _ in range(3)])
+    assert not validate_states(good).flags.writeable
+    for bad_row in (np.diag([1.5, 0.0, 0.0, -0.5]), 2.0 * good[0], good[0] + np.triu(np.ones((4, 4)), 1)):
+        stack = good.copy()
+        stack[1] = bad_row
+        with pytest.raises(ValueError):
+            validate_states(stack)
+    with pytest.raises(ValueError):
+        validate_states(good[0])  # a single matrix is not a stack
 
 
 def test_density_matrix_entries_read_only():
@@ -112,9 +124,29 @@ def test_kraus_equals_direct_map_on_random_inputs(rng):
     for _ in range(100):
         rho = random_density(rng, 2)
         chi = rng.uniform(-1.0, 1.0)
-        via_kraus = apply_kraus(amplitude_damping_kraus(chi), rho)
+        pair = amplitude_damping_kraus(chi)
+        via_kraus = sum(k @ rho.mat @ k.conj().T for k in (pair.k0, pair.k1))
         direct = single_qubit_evolve(rho, chi)
-        assert np.max(np.abs(via_kraus.mat - direct.mat)) < 1e-14
+        assert np.max(np.abs(via_kraus - direct.mat)) < 1e-14
+
+
+def _kraus_sum(rho: np.ndarray, chi_a: float, chi_b: float) -> np.ndarray:
+    """Sum over i, j of (K_i x K_j) rho (K_i x K_j)^dag with the decay map's Kraus pairs."""
+    pa, pb = amplitude_damping_kraus(chi_a), amplitude_damping_kraus(chi_b)
+    ops = [np.kron(ki, kj) for ki in (pa.k0, pa.k1) for kj in (pb.k0, pb.k1)]
+    return sum(op @ rho @ op.conj().T for op in ops)
+
+
+def test_evolve_stack_rows_match_kraus_sum(rng):
+    special = [-1.0, 0.0, 1.0]
+    for _ in range(20):
+        rho = random_density(rng, 4)
+        chi_a = np.concatenate([special, special, rng.uniform(-1.0, 1.0, size=6)])
+        chi_b = np.concatenate([special[::-1], rng.uniform(-1.0, 1.0, size=3), rng.uniform(-1.0, 1.0, size=6)])
+        stack = evolve_stack(rho, chi_a, chi_b)
+        assert stack.shape == (chi_a.size, 4, 4)
+        for row, ca, cb in zip(stack, chi_a, chi_b):
+            assert np.max(np.abs(row - _kraus_sum(rho.mat, ca, cb))) < 1e-14
 
 
 def test_two_qubit_identity(rng):

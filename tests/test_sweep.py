@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from discordsim import (
     CSV_COLUMNS,
     Axis,
     CorrelationRecord,
+    DensityMatrix,
     EsdReport,
     Family,
     MeasurementBasis,
@@ -140,6 +142,26 @@ def test_trajectory_from_raw_state_matches_family_path():
     for a, b in zip(via_family, via_state):
         assert a.concurrence == b.concurrence
         assert a.discord == b.discord
+
+
+def _trajectory_peak_bytes(rho0, params, steps: int) -> int:
+    tracemalloc.start()
+    try:
+        trajectory_from_state(rho0, params, np.linspace(0.0, 25.0, steps))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_peak_memory_does_not_grow_with_grid():
+    # The batched optimiser caps the (state, angle) pairs of each evaluator
+    # call, so ten times the points costs little more than their records.
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    params = ReservoirParams(lambda_ratio=0.5)
+    growth = _trajectory_peak_bytes(rho0, params, 1001) - _trajectory_peak_bytes(rho0, params, 101)
+    assert growth <= 2_000_000
 
 
 def test_trajectory_rejects_empty_grid():
