@@ -19,28 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from discordsim import (
-    CorrelationRecord,
-    MeasurementBasis,
     NoRevivalError,
     detect_discord_zeros,
     detect_esd,
+    make_trajectory,
     read_sweep_csv,
     revival_amplitude,
 )
-
-
-def records_from_rows(rows: np.ndarray) -> list[CorrelationRecord]:
-    return [
-        CorrelationRecord(
-            t=row[0],
-            concurrence=row[5],
-            mutual_info=row[6],
-            classical_corr=row[7],
-            discord=row[8],
-            argmax_basis=MeasurementBasis(row[9], row[10]),
-        )
-        for row in rows
-    ]
 
 
 def main() -> int:
@@ -61,12 +46,13 @@ def main() -> int:
     print(f"{'alpha_sq':>10} {'r':>6} {'lam':>6}  {'death':>8}  zeros / revival")
     for lo, hi in zip(boundaries, boundaries[1:]):
         rows = data[lo:hi]
-        series = records_from_rows(rows)
+        # CSV columns t, alpha_sq, r, lambda_ratio, chi, then the trajectory fields
+        traj = make_trajectory(rows[:, 0], *rows[:, 4:].T)
         alpha_sq, r, lam = rows[0, 1:4]
-        report = detect_esd(series)
-        zeros = detect_discord_zeros(series)
+        report = detect_esd(traj)
+        zeros = detect_discord_zeros(traj)
         try:
-            revival = f"revival {revival_amplitude(series):.4f} bits"
+            revival = f"revival {revival_amplitude(traj):.4f} bits"
         except NoRevivalError:
             revival = "no revival"
         death = "-" if report.esd_time is None else f"{report.esd_time:.3f}"

@@ -34,6 +34,7 @@ from .sweep import (
     format_csv_rows,
     run_sweep,
     trajectory_from_state,
+    uniform_grid,
 )
 from .verification import format_report, run_verification
 
@@ -72,18 +73,18 @@ def _qubit(label: str) -> Qubit:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = ReservoirParams(lambda_ratio=args.lambda_ratio)
-    t_grid = np.linspace(0.0, args.tmax, args.steps)
+    t_grid = uniform_grid(args.tmax, args.steps)
     measured = _qubit(args.measure)
     if args.raw_state is not None:
         rho0 = load_raw_state(Path(args.raw_state).read_text())
-        records = trajectory_from_state(rho0, params, t_grid, measured)
+        traj = trajectory_from_state(rho0, params, t_grid, measured)
         alpha_sq = r = float("nan")
     else:
         scenario = StateFamily(Family(args.state), args.alpha2, args.r)
-        records = evolve_trajectory(scenario, params, t_grid, measured)
+        traj = evolve_trajectory(scenario, params, t_grid, measured)
         alpha_sq, r = args.alpha2, args.r
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(format_csv_rows(records, alpha_sq, r, params))
+    lines.extend(format_csv_rows(traj, alpha_sq, r, params))
     _write_lines(lines, args.output)
     return _EXIT_OK
 

@@ -20,7 +20,6 @@ from .states import DensityMatrix, Qubit
 
 __all__ = [
     "MeasurementBasis",
-    "CorrelationRecord",
     "canonical_angles",
     "von_neumann_entropy",
     "mutual_information",
@@ -50,22 +49,19 @@ _COMPASS = np.array(
 _PAIRS_PER_CALL = _SEED_GRID_N**2 // 2
 
 
-def canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Fold arbitrary real angles into theta in [0, pi/2], phi in [0, 2 pi).
+def canonical_angles(theta, phi):
+    """Fold real angles (scalars or arrays) into theta in [0, pi/2], phi in [0, 2 pi).
 
     Uses the exact symmetries of the measurement family: (theta + pi, phi)
     and (pi - theta, phi + pi) label the same projector pair.
     """
-    theta = math.fmod(theta, math.pi)
-    if theta < 0:
-        theta += math.pi
-    if theta > 0.5 * math.pi:
-        theta = math.pi - theta
-        phi = phi + math.pi
-    phi = math.fmod(phi, 2.0 * math.pi)
-    if phi < 0:
-        phi += 2.0 * math.pi
-    return theta, phi
+    theta = np.fmod(theta, math.pi)
+    theta = np.where(theta < 0, theta + math.pi, theta)
+    flip = theta > 0.5 * math.pi
+    theta = np.where(flip, math.pi - theta, theta)
+    phi = np.fmod(np.where(flip, phi + math.pi, phi), 2.0 * math.pi)
+    phi = np.where(phi < 0, phi + 2.0 * math.pi, phi)
+    return theta[()], phi[()]  # [()] turns 0-d results into scalars
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,41 +92,6 @@ class MeasurementBasis:
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         v0, v1 = self.vectors()
         return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
-
-
-@dataclass(frozen=True, slots=True)
-class CorrelationRecord:
-    """All correlation measures of the evolved state at one time point.
-
-    Internally consistent by construction: discord is the gap between total
-    and classical correlation, every measure is nonnegative up to round-off,
-    and the classical part never exceeds the total.
-    """
-
-    t: float
-    concurrence: float
-    mutual_info: float
-    classical_corr: float
-    discord: float
-    argmax_basis: MeasurementBasis
-
-    def __post_init__(self):
-        if not 0.0 <= self.concurrence <= 1.0 + 1e-12:
-            raise ValueError(f"concurrence out of [0, 1]: {self.concurrence}")
-        if self.mutual_info < 0.0 or self.classical_corr < 0.0:
-            raise ValueError("correlation measures must be nonnegative")
-        if self.classical_corr > self.mutual_info + 1e-9:
-            raise ValueError(
-                f"classical correlation {self.classical_corr} exceeds "
-                f"mutual information {self.mutual_info}"
-            )
-        if self.discord < -1e-9:
-            raise ValueError(f"discord below round-off floor: {self.discord}")
-        gap = self.mutual_info - self.classical_corr
-        if abs(self.discord - gap) > 1e-9:
-            raise ValueError(
-                f"discord {self.discord} inconsistent with total - classical = {gap}"
-            )
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
@@ -262,8 +223,9 @@ def brute_force_classical_correlation(
 
 def classical_correlation_stack(
     stack: np.ndarray, measured: Qubit = Qubit.B
-) -> tuple[np.ndarray, list[MeasurementBasis]]:
-    """Classical correlation and its (folded) maximizing basis for each state of a stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classical correlation and the folded angles (theta, phi) of its maximizing basis,
+    for each state of a stack.
 
     Each state's best three seeds of a 64x64 angle grid start a compass search;
     every round advances the unfinished starts of all states together.
@@ -293,24 +255,22 @@ def classical_correlation_stack(
             step[c] *= np.where(moved, 2.0, 0.5)
 
     k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
-    bases = [MeasurementBasis(*canonical_angles(th, ph)) for th, ph in point[k].tolist()]
-    return np.maximum(0.0, value[k]), bases
+    return (np.maximum(0.0, value[k]), *canonical_angles(point[k, 0], point[k, 1]))
 
 
 def classical_correlation(
     rho: DensityMatrix, measured: Qubit = Qubit.B
 ) -> tuple[float, MeasurementBasis]:
     """Classical correlation of one state and its maximizing measurement basis."""
-    value, bases = classical_correlation_stack(_stack_of_one(rho), measured)
-    return float(value[0]), bases[0]
+    value, theta, phi = classical_correlation_stack(_stack_of_one(rho), measured)
+    return float(value[0]), MeasurementBasis(float(theta[0]), float(phi[0]))
 
 
-def discord_from_parts(total: float, classical: float) -> float:
-    """Discord as total minus classical, with round-off within -1e-9 clipped to 0."""
-    d = total - classical
-    if -1e-9 <= d < 0.0:
-        return 0.0
-    return d
+def discord_from_parts(total, classical):
+    """Discord as total minus classical (scalars or arrays), with round-off
+    within -1e-9 clipped to 0."""
+    d = np.subtract(total, classical)
+    return np.where((-1e-9 <= d) & (d < 0.0), 0.0, d)[()]
 
 
 def quantum_discord(rho: DensityMatrix, measured: Qubit = Qubit.B) -> float:
@@ -320,7 +280,7 @@ def quantum_discord(rho: DensityMatrix, measured: Qubit = Qubit.B) -> float:
     """
     total = mutual_information(rho)
     classical, _ = classical_correlation(rho, measured)
-    return discord_from_parts(total, classical)
+    return float(discord_from_parts(total, classical))
 
 
 # sigma_y in the fixed {|1>, |0>} basis order, doubled up for the spin flip.

@@ -66,10 +66,14 @@ def evaluate_chi(params: ReservoirParams, t):
     has the factor lambda / d that diverges at lambda = 2.
     """
     if isinstance(t, np.ndarray):
-        return np.array([evaluate_chi(params, ti) for ti in t.ravel().tolist()]).reshape(t.shape)
+        lam = params.lambda_ratio
+        return np.array([_chi(lam, ti) for ti in t.ravel().tolist()]).reshape(t.shape)
+    return _chi(params.lambda_ratio, t)
+
+
+def _chi(lam: float, t: float) -> float:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be nonnegative and finite, got {t}")
-    lam = params.lambda_ratio
     d = math.sqrt(lam * abs(2.0 - lam))
     h = 0.5 * lam * t
     x = 0.5 * d * t
@@ -78,9 +82,12 @@ def evaluate_chi(params: ReservoirParams, t):
     if x <= 1.0:
         return math.exp(-h) * (math.cosh(x) + h * (math.sinh(x) / x if x else 1.0))
     # Beyond x = 1, a sum of two decaying exponentials, so that
-    # exp(-h) * cosh(x) never overflows for large lambda * t.
+    # exp(-h) * cosh(x) never overflows for large lambda * t.  The slow rate
+    # h - x is written as lambda t / (lambda + d), which for wide spectra
+    # does not cancel two large nearly equal terms.
     ratio = lam / d
-    return 0.5 * (1.0 + ratio) * math.exp(x - h) + 0.5 * (1.0 - ratio) * math.exp(-x - h)
+    slow = math.exp(-lam * t / (lam + d))
+    return 0.5 * (1.0 + ratio) * slow + 0.5 * (1.0 - ratio) * math.exp(-x - h)
 
 
 def _chi_zero_formula(params: ReservoirParams, n: int) -> float:

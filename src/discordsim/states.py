@@ -21,8 +21,6 @@ __all__ = [
     "two_qubit_evolve",
     "tensor",
     "partial_trace",
-    "excited_state",
-    "ground_state",
     "pure_state",
 ]
 
@@ -110,14 +108,6 @@ def pure_state(amplitudes) -> DensityMatrix:
     v = np.asarray(amplitudes, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def excited_state() -> DensityMatrix:
-    return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-
-
-def ground_state() -> DensityMatrix:
-    return DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
 
 
 def single_qubit_evolve(rho0: DensityMatrix, chi: float) -> DensityMatrix:

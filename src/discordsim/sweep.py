@@ -1,10 +1,11 @@
 """Trajectory evolution, death/zero detection, and deterministic CSV sweeps.
 
-A trajectory is the list of correlation records along a time grid for one
-initial state and one reservoir.  On top of trajectories this module detects
-sudden death of entanglement (concurrence reaching zero and dwelling there),
-the isolated zeros of the discord, and the size of the discord revival after
-its first zero.  ``run_sweep`` materializes a 2-D (parameter x time) sweep
+A trajectory is a validated numpy record array of the correlation measures
+along a time grid for one initial state and one reservoir: its fields are
+columns (``traj.discord``) and its rows are records (``rec.t``).  On top of
+trajectories this module detects sudden death of entanglement (concurrence
+reaching zero and dwelling there), the isolated zeros of the discord, and
+the size of the discord revival after its first zero.  ``run_sweep`` materializes a 2-D (parameter x time) sweep
 as a CSV file with deterministic bytes.
 """
 
@@ -15,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import (
-    CorrelationRecord,
     classical_correlation_stack,
     concurrence_stack,
     discord_from_parts,
@@ -28,8 +28,10 @@ from .states import Qubit, evolve_stack, validate_states
 __all__ = [
     "Axis",
     "SweepConfig",
+    "uniform_grid",
     "EsdReport",
     "NoRevivalError",
+    "make_trajectory",
     "evolve_trajectory",
     "detect_esd",
     "detect_discord_zeros",
@@ -56,6 +58,17 @@ _MIN_PROMINENCE = 1e-7
 
 _AXIS_NAMES = ("alpha_sq", "r", "lambda_ratio")
 
+_TRAJECTORY_FIELDS = (
+    "t",
+    "chi",
+    "concurrence",
+    "mutual_info",
+    "classical_corr",
+    "discord",
+    "theta",
+    "phi",
+)
+
 CSV_COLUMNS = (
     "t_gamma0",
     "alpha_sq",
@@ -69,10 +82,11 @@ CSV_COLUMNS = (
     "argmax_theta",
     "argmax_phi",
 )
+_CSV_ROW = ",".join(["{:.17g}"] * len(CSV_COLUMNS))  # 17 significant digits round-trip
 
 
 class NoRevivalError(RuntimeError):
-    """The series contains no discord zero, so no revival can follow one."""
+    """The trajectory contains no discord zero, so no revival can follow one."""
 
 
 @dataclass(frozen=True)
@@ -126,10 +140,7 @@ class SweepConfig:
             raise ValueError("families must not repeat")
         if not isinstance(self.axis, Axis):
             raise TypeError("axis must be an Axis")
-        if not self.t_max > 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        uniform_grid(self.t_max, self.steps)
         if not isinstance(self.measured, Qubit):
             raise TypeError("measured must be a Qubit")
         fixed = {"alpha_sq": self.alpha_sq, "r": self.r, "lambda_ratio": self.lambda_ratio}
@@ -153,7 +164,16 @@ class SweepConfig:
         return merged["alpha_sq"], merged["r"], merged["lambda_ratio"]
 
     def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.steps)
+        return uniform_grid(self.t_max, self.steps)
+
+
+def uniform_grid(t_max: float, steps: int) -> np.ndarray:
+    """``steps`` >= 2 evenly spaced times over [0, t_max], t_max positive and finite."""
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    return np.linspace(0.0, t_max, steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +191,54 @@ class EsdReport:
             prev_end = end
 
 
+def make_trajectory(
+    t, chi, concurrence, mutual_info, classical_corr, discord, theta, phi
+) -> np.recarray:
+    """Validated record array of one trajectory, one row per time point.
+
+    Every argument is a 1-D sequence of one length.  Each row must be
+    internally consistent: 0 <= concurrence <= 1 (+1e-12); mutual
+    information and classical correlation nonnegative, the classical part at
+    most the total (+1e-9); discord the gap between them within 1e-9 and not
+    below -1e-9; the maximizing basis angles theta in [0, pi/2] and phi in
+    [0, 2 pi).  The first offending row is reported.
+    """
+    cols = [np.asarray(c, dtype=float) for c in
+            (t, chi, concurrence, mutual_info, classical_corr, discord, theta, phi)]
+    if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+        raise ValueError("trajectory columns must be 1-D and of one length")
+    _, _, c, i, j, d, th, ph = cols
+    gap = i - j
+    # (rows that pass, message for row k); written as "passes" so NaN fails.
+    checks = (
+        ((0.0 <= c) & (c <= 1.0 + 1e-12),
+         lambda k: f"concurrence out of [0, 1]: {c[k]}"),
+        ((i >= 0.0) & (j >= 0.0),
+         lambda k: "correlation measures must be nonnegative"),
+        (j <= i + 1e-9,
+         lambda k: f"classical correlation {j[k]} exceeds mutual information {i[k]}"),
+        (d >= -1e-9,
+         lambda k: f"discord below round-off floor: {d[k]}"),
+        (np.abs(d - gap) <= 1e-9,
+         lambda k: f"discord {d[k]} inconsistent with total - classical = {gap[k]}"),
+        ((0.0 <= th) & (th <= 0.5 * math.pi),
+         lambda k: f"theta must lie in [0, pi/2], got {th[k]}"),
+        ((0.0 <= ph) & (ph < 2.0 * math.pi),
+         lambda k: f"phi must lie in [0, 2 pi), got {ph[k]}"),
+    )
+    for ok, message in checks:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ValueError(f"{message(bad[0])} (row {bad[0]})")
+    return np.rec.fromarrays(cols, names=_TRAJECTORY_FIELDS)
+
+
 def trajectory_from_state(
     rho0,
     params: ReservoirParams,
     t_grid,
     measured: Qubit = Qubit.B,
-) -> list[CorrelationRecord]:
+) -> np.recarray:
     """Correlation measures along a time grid for an arbitrary initial state.
 
     The initial state is pushed through the decay channel as one (T, 4, 4)
@@ -188,12 +250,12 @@ def trajectory_from_state(
         raise ValueError("t_grid must be a nonempty 1-D array of times")
     chi = evaluate_chi(params, t_arr)
     stack = validate_states(evolve_stack(rho0, chi, chi))
-    conc, total = concurrence_stack(stack).tolist(), mutual_information_stack(stack).tolist()
-    classical, bases = classical_correlation_stack(stack, measured)
-    return [
-        CorrelationRecord(t, c, i, j, discord_from_parts(i, j), basis)
-        for t, c, i, j, basis in zip(t_arr.tolist(), conc, total, classical.tolist(), bases)
-    ]
+    total = mutual_information_stack(stack)
+    classical, theta, phi = classical_correlation_stack(stack, measured)
+    return make_trajectory(
+        t_arr, chi, concurrence_stack(stack), total, classical,
+        discord_from_parts(total, classical), theta, phi,
+    )
 
 
 def evolve_trajectory(
@@ -201,7 +263,7 @@ def evolve_trajectory(
     params: ReservoirParams,
     t_grid,
     measured: Qubit = Qubit.B,
-) -> list[CorrelationRecord]:
+) -> np.recarray:
     """Correlation measures along a time grid for a Werner-like initial state."""
     return trajectory_from_state(build_state(scenario), params, t_grid, measured)
 
@@ -219,7 +281,7 @@ def _bool_runs(mask: np.ndarray):
 
 
 def detect_esd(
-    series: list[CorrelationRecord],
+    traj: np.recarray,
     threshold: float = DEFAULT_ESD_THRESHOLD,
     dwell_window: float = DEFAULT_ESD_DWELL,
 ) -> EsdReport:
@@ -233,10 +295,9 @@ def detect_esd(
     time is the start of the first such stretch; revival intervals are the
     above-threshold stretches after it.
     """
-    if not series:
-        raise ValueError("series is empty")
-    t = np.array([rec.t for rec in series])
-    c = np.array([rec.concurrence for rec in series])
+    if len(traj) == 0:
+        raise ValueError("trajectory is empty")
+    t, c = traj.t, traj.concurrence
     below = c < threshold
 
     esd_time = None
@@ -264,14 +325,14 @@ def _parabola_vertex(t0, t1, t2, d0, d1, d2) -> float:
     """Abscissa of the parabola vertex through three points, clamped near t1."""
     denom = (t1 - t0) * (d1 - d2) - (t1 - t2) * (d1 - d0)
     if abs(denom) < 1e-300:
-        return t1
+        return float(t1)
     num = (t1 - t0) ** 2 * (d1 - d2) - (t1 - t2) ** 2 * (d1 - d0)
     tv = t1 - 0.5 * num / denom
-    return min(max(tv, 0.5 * (t0 + t1)), 0.5 * (t1 + t2))
+    return float(min(max(tv, 0.5 * (t0 + t1)), 0.5 * (t1 + t2)))
 
 
 def detect_discord_zeros(
-    series: list[CorrelationRecord], threshold: float = DEFAULT_ZERO_THRESHOLD
+    traj: np.recarray, threshold: float = DEFAULT_ZERO_THRESHOLD
 ) -> list[float]:
     """Times where the discord touches zero and climbs out again.
 
@@ -280,16 +341,15 @@ def detect_discord_zeros(
     touch both from wiggle at the noise floor and from asymptotic decay
     into the end of the window, which has no rise at all.  Isolated minima
     are refined by a three-point parabola fit; flat runs of equal minimal
-    values report their two edge times.  A series that never exceeds the
-    noise floor collapses to its endpoint times.
+    values report their two edge times.  A trajectory whose discord never
+    exceeds the noise floor collapses to its endpoint times.
     """
     # Imported here so that CLI start-up does not pay for scipy.signal.
     from scipy.signal import find_peaks
 
-    if not series:
-        raise ValueError("series is empty")
-    t = np.array([rec.t for rec in series])
-    d = np.array([rec.discord for rec in series])
+    if len(traj) == 0:
+        raise ValueError("trajectory is empty")
+    t, d = traj.t, traj.discord
     if bool(np.all(d < _EXACT_ZERO)):
         return [float(t[0]), float(t[-1])]
 
@@ -311,25 +371,20 @@ def detect_discord_zeros(
 
 
 def revival_amplitude(
-    series: list[CorrelationRecord], threshold: float = DEFAULT_ZERO_THRESHOLD
+    traj: np.recarray, threshold: float = DEFAULT_ZERO_THRESHOLD
 ) -> float:
     """Largest discord strictly after its first zero, in bits."""
-    zeros = detect_discord_zeros(series, threshold)
+    zeros = detect_discord_zeros(traj, threshold)
     if not zeros:
-        raise NoRevivalError("no discord zero in the series")
-    t_first = zeros[0]
-    after = [rec.discord for rec in series if rec.t > t_first]
-    if not after:
-        raise NoRevivalError("series ends at its first discord zero")
-    return max(after)
-
-
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+        raise NoRevivalError("no discord zero in the trajectory")
+    after = traj.discord[traj.t > zeros[0]]
+    if not after.size:
+        raise NoRevivalError("trajectory ends at its first discord zero")
+    return float(after.max())
 
 
 def format_csv_rows(
-    records: list[CorrelationRecord],
+    traj: np.recarray,
     alpha_sq: float,
     r: float,
     params: ReservoirParams,
@@ -340,24 +395,9 @@ def format_csv_rows(
     directly rather than built from a family; the other columns are still
     well defined.
     """
-    lines = []
-    chis = evaluate_chi(params, np.array([rec.t for rec in records]))
-    for rec, chi in zip(records, chis.tolist()):
-        row = (
-            rec.t,
-            alpha_sq,
-            r,
-            params.lambda_ratio,
-            chi,
-            rec.concurrence,
-            rec.mutual_info,
-            rec.classical_corr,
-            rec.discord,
-            rec.argmax_basis.theta,
-            rec.argmax_basis.phi,
-        )
-        lines.append(",".join(_format_float(v) for v in row))
-    return lines
+    fixed = (float(alpha_sq), float(r), float(params.lambda_ratio))
+    # The fields after t are the CSV columns after lambda_ratio, in order.
+    return [_CSV_ROW.format(t, *fixed, *rest) for t, *rest in traj.tolist()]
 
 
 def run_sweep(config: SweepConfig, output: str | Path | None = None) -> Path:
@@ -381,8 +421,8 @@ def run_sweep(config: SweepConfig, output: str | Path | None = None) -> Path:
             alpha_sq, r, lambda_ratio = config.point_params(axis_value)
             scenario = StateFamily(family, alpha_sq, r)
             params = ReservoirParams(lambda_ratio=lambda_ratio)
-            records = evolve_trajectory(scenario, params, t_grid, config.measured)
-            lines.extend(format_csv_rows(records, alpha_sq, r, params))
+            traj = evolve_trajectory(scenario, params, t_grid, config.measured)
+            lines.extend(format_csv_rows(traj, alpha_sq, r, params))
     path.write_text("\n".join(lines) + "\n")
     return path
 

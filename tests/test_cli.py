@@ -117,6 +117,14 @@ def test_evolve_rejects_bad_alpha2():
         assert "error:" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("tmax, steps", [("0", "3"), ("inf", "3"), ("-1", "3"), ("1", "1")])
+def test_evolve_rejects_bad_time_grid(tmax, steps):
+    proc = run_cli("evolve", "--tmax", tmax, "--steps", steps)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+
+
 def _write_bell_matrix(path):
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 2**-0.5

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discordsim import (
-    CorrelationRecord,
     DensityMatrix,
     MeasurementBasis,
     Qubit,
@@ -361,7 +360,7 @@ def test_concurrence_x_state_closed_form(rng):
         assert concurrence(DensityMatrix(m)) == pytest.approx(expected, abs=1e-12)
 
 
-# ------------------------------------------------- basis and record types
+# ------------------------------------------------------------ basis type
 
 
 def test_basis_projectors_are_rank_one_resolution():
@@ -397,15 +396,31 @@ def test_canonical_angles_equivalences():
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_correlation_record_invariants_enforced():
-    basis = MeasurementBasis(0.0, 0.0)
-    CorrelationRecord(0.0, 0.5, 1.0, 0.4, 0.6, basis)  # consistent
-    with pytest.raises(ValueError):
-        CorrelationRecord(0.0, 0.5, 1.0, 0.4, 0.3, basis)  # discord mismatch
-    with pytest.raises(ValueError):
-        CorrelationRecord(0.0, 0.5, 1.0, 1.2, -0.2, basis)  # classical > total
-    with pytest.raises(ValueError):
-        CorrelationRecord(0.0, 1.5, 1.0, 0.4, 0.6, basis)  # concurrence > 1
+def _fold_reference(theta: float, phi: float) -> tuple[float, float]:
+    # The fold written out one scalar at a time with math.fmod.
+    theta = math.fmod(theta, math.pi)
+    if theta < 0:
+        theta += math.pi
+    if theta > 0.5 * math.pi:
+        theta, phi = math.pi - theta, phi + math.pi
+    phi = math.fmod(phi, 2.0 * math.pi)
+    if phi < 0:
+        phi += 2.0 * math.pi
+    return theta, phi
+
+
+def test_canonical_angles_arrays_match_scalar_folds(rng):
+    thetas = rng.uniform(-10.0, 10.0, 2000)
+    phis = rng.uniform(-20.0, 20.0, 2000)
+    thetas[:4] = (0.0, np.pi / 2, np.pi, -np.pi / 2)
+    ct, cp = canonical_angles(thetas, phis)
+    assert ct.shape == cp.shape == thetas.shape
+    assert list(zip(ct.tolist(), cp.tolist())) == [
+        _fold_reference(th, ph) for th, ph in zip(thetas.tolist(), phis.tolist())
+    ]
+    theta, phi = canonical_angles(2.0, -1.0)
+    assert isinstance(theta, float) and isinstance(phi, float)
+    assert (theta, phi) == _fold_reference(2.0, -1.0)
 
 
 # ------------------------------------------------------------- properties
@@ -448,11 +463,12 @@ def test_stack_rows_match_one_state_calls(rng):
     conc = concurrence_stack(stack)
     total = mutual_information_stack(stack)
     for measured in (Qubit.A, Qubit.B):
-        classical, bases = classical_correlation_stack(stack, measured)
+        classical, thetas, phis = classical_correlation_stack(stack, measured)
+        assert classical.shape == thetas.shape == phis.shape == (len(states),)
         for k, rho in enumerate(states):
             j, basis = classical_correlation(rho, measured)
             assert abs(classical[k] - j) < 1e-12
-            h_row = conditional_entropy(rho, bases[k], measured)
+            h_row = conditional_entropy(rho, MeasurementBasis(thetas[k], phis[k]), measured)
             assert abs(h_row - conditional_entropy(rho, basis, measured)) < 1e-12
     for k, rho in enumerate(states):
         assert abs(conc[k] - concurrence(rho)) < 1e-12

@@ -123,7 +123,11 @@ def test_degenerate_boundary_continuity():
 
 
 def _chi_reference(lam: float, t: float) -> float:
-    """chi for lambda_ratio >= 2 in 50-digit decimal arithmetic (exp and sqrt only)."""
+    """chi for lambda_ratio >= 2 in 50-digit decimal arithmetic (exp and sqrt only).
+
+    Written as two exponentials, so that exp(d t / 2) cannot overflow the
+    decimal context for wide spectra.
+    """
     with localcontext() as ctx:
         ctx.prec = 50
         lam_d, t_d = Decimal(lam), Decimal(t)
@@ -131,14 +135,18 @@ def _chi_reference(lam: float, t: float) -> float:
         if lam == 2.0:
             return float((-h).exp() * (1 + h))
         d = (lam_d * (lam_d - 2)).sqrt()
-        up, down = (d * t_d / 2).exp(), (-d * t_d / 2).exp()
-        return float((-h).exp() * ((up + down) / 2 + lam_d / d * (up - down) / 2))
+        x = d * t_d / 2
+        ratio = lam_d / d
+        return float(((1 + ratio) * (x - h).exp() + (1 - ratio) * (-x - h).exp()) / 2)
 
 
-@pytest.mark.parametrize("lam", [2.0, 2.0 + 4.5e-16, 2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 2e-9, 2.5, 10.0])
+@pytest.mark.parametrize(
+    "lam", [2.0, 2.0 + 4.5e-16, 2.0 + 1e-12, 2.0 + 1e-9, 2.0 + 2e-9, 2.5, 10.0, 1e3, 1e4, 1e6]
+)
 def test_chi_accurate_at_and_above_critical_width(lam):
     # Just above lambda_ratio = 2 the two-exponential form cancels terms of
-    # size lambda/d and lost up to ~1e-9 here.
+    # size lambda/d and lost up to ~1e-9 here; for wide spectra its slow
+    # rate h - x cancelled two large terms and lost up to ~2e-11.
     params = ReservoirParams(lambda_ratio=lam)
     for t in np.linspace(0.0, 40.0, 161):
         assert abs(evaluate_chi(params, float(t)) - _chi_reference(lam, float(t))) < 1e-15

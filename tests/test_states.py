@@ -12,8 +12,6 @@ from discordsim import (
     KrausPair,
     Qubit,
     amplitude_damping_kraus,
-    excited_state,
-    ground_state,
     partial_trace,
     pure_state,
     single_qubit_evolve,
@@ -24,6 +22,10 @@ from discordsim import (
 from discordsim.states import evolve_stack, validate_states
 
 from conftest import random_density
+
+# Single-qubit basis {|1>, |0>}: excited first.
+EXCITED = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+GROUND = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
 
 
 def test_density_matrix_validation():
@@ -54,15 +56,9 @@ def test_validate_states_checks_every_row(rng):
 
 
 def test_density_matrix_entries_read_only():
-    rho = ground_state()
+    rho = GROUND
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 1.0
-
-
-def test_basis_conventions():
-    # dim 2 ordering {|1>, |0>}: excited first.
-    assert excited_state().mat[0, 0] == 1.0
-    assert ground_state().mat[1, 1] == 1.0
 
 
 def test_single_qubit_evolve_identity(rng):
@@ -74,12 +70,12 @@ def test_single_qubit_evolve_identity(rng):
 def test_single_qubit_evolve_full_decay(rng):
     rho = random_density(rng, 2)
     out = single_qubit_evolve(rho, 0.0)
-    assert np.max(np.abs(out.mat - ground_state().mat)) < 1e-15
+    assert np.max(np.abs(out.mat - GROUND.mat)) < 1e-15
 
 
 @pytest.mark.parametrize("chi", [-0.8, -0.3, 0.0, 0.5, 1.0])
 def test_excited_population_scales_quadratically(chi):
-    out = single_qubit_evolve(excited_state(), chi)
+    out = single_qubit_evolve(EXCITED, chi)
     assert out.mat[0, 0] == pytest.approx(chi**2, abs=1e-15)
     assert out.mat[1, 1] == pytest.approx(1.0 - chi**2, abs=1e-15)
 
@@ -178,7 +174,7 @@ def test_two_qubit_factorizes_on_products(rng):
 
 def test_tensor_basis_order():
     # |1><1| (x) |0><0| lands on |10><10|, index 1 in {|11>,|10>,|01>,|00>}.
-    out = tensor(excited_state(), ground_state())
+    out = tensor(EXCITED, GROUND)
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0
     assert np.array_equal(out.mat, expected)
@@ -200,9 +196,9 @@ def test_partial_trace_round_trip(rng):
 
 
 def test_partial_trace_of_basis_state():
-    joint = tensor(excited_state(), ground_state())
-    assert np.allclose(partial_trace(joint, Qubit.A).mat, excited_state().mat)
-    assert np.allclose(partial_trace(joint, Qubit.B).mat, ground_state().mat)
+    joint = tensor(EXCITED, GROUND)
+    assert np.allclose(partial_trace(joint, Qubit.A).mat, EXCITED.mat)
+    assert np.allclose(partial_trace(joint, Qubit.B).mat, GROUND.mat)
 
 
 def test_partial_trace_of_bell_state_is_mixed():

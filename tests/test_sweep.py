@@ -12,11 +12,9 @@ import pytest
 from discordsim import (
     CSV_COLUMNS,
     Axis,
-    CorrelationRecord,
     DensityMatrix,
     EsdReport,
     Family,
-    MeasurementBasis,
     NoRevivalError,
     Qubit,
     ReservoirParams,
@@ -28,8 +26,10 @@ from discordsim import (
     concurrence,
     detect_discord_zeros,
     detect_esd,
+    evaluate_chi,
     evolve_trajectory,
     figure_preset,
+    make_trajectory,
     mutual_information,
     quantum_discord,
     read_sweep_csv,
@@ -38,19 +38,12 @@ from discordsim import (
     trajectory_from_state,
 )
 
-_BASIS = MeasurementBasis(0.0, 0.0)
-
-
-def synth(t: float, conc: float = 0.0, discord: float = 0.0) -> CorrelationRecord:
-    """Record with prescribed concurrence/discord and consistent bookkeeping."""
-    return CorrelationRecord(t, conc, discord + 0.5, 0.5, discord, _BASIS)
-
-
-def series_from(ts, concs=None, discords=None):
-    n = len(ts)
-    concs = concs if concs is not None else [0.0] * n
-    discords = discords if discords is not None else [0.0] * n
-    return [synth(t, c, d) for t, c, d in zip(ts, concs, discords)]
+def synth(ts, concs=None, discords=None) -> np.recarray:
+    """Trajectory with prescribed concurrence/discord (default 0) and consistent bookkeeping."""
+    zeros = np.zeros(len(ts))
+    concs = zeros if concs is None else np.asarray(concs, dtype=float)
+    discords = zeros if discords is None else np.asarray(discords, dtype=float)
+    return make_trajectory(ts, zeros, concs, discords + 0.5, zeros + 0.5, discords, zeros, zeros)
 
 
 # ------------------------------------------------------------- validation
@@ -87,8 +80,9 @@ def test_sweep_config_validation():
         SweepConfig(
             (Family.PSI, Family.PSI), axis, 10.0, 11, r=1.0, lambda_ratio=0.1
         )
-    with pytest.raises(ValueError):  # bad horizon
-        SweepConfig((Family.PSI,), axis, -1.0, 11, r=1.0, lambda_ratio=0.1)
+    for t_max, steps in ((-1.0, 11), (0.0, 3), (math.inf, 3), (math.nan, 3), (10.0, 1)):
+        with pytest.raises(ValueError):  # bad time grid
+            SweepConfig((Family.PSI,), axis, t_max, steps, r=1.0, lambda_ratio=0.1)
 
 
 def test_time_grid_endpoints():
@@ -107,6 +101,43 @@ def test_esd_report_interval_validation():
 
 
 # ------------------------------------------------------------ trajectories
+
+
+def test_make_trajectory_invariants_enforced():
+    def traj(**row):
+        # Row 1 of three gets the fields given; rows 0 and 2 are consistent.
+        good = dict(t=0.0, chi=1.0, concurrence=0.5, mutual_info=1.0, classical_corr=0.4,
+                    discord=0.6, theta=0.0, phi=0.0)
+        return make_trajectory(**{k: [v, row.get(k, v), v] for k, v in good.items()})
+
+    assert len(traj()) == 3  # consistent
+    bad_rows = (
+        dict(discord=0.3),  # discord mismatch
+        dict(classical_corr=1.2, discord=-0.2),  # classical > total
+        dict(concurrence=1.5),  # concurrence > 1
+        dict(mutual_info=-0.1, classical_corr=-0.1, discord=0.0),  # negative measures
+        dict(theta=2.0),  # theta > pi/2
+        dict(phi=2.0 * math.pi),  # phi >= 2 pi
+        dict(discord=math.nan),  # NaN fails every range check
+    )
+    for row in bad_rows:
+        with pytest.raises(ValueError, match=r"\(row 1\)"):
+            traj(**row)
+    with pytest.raises(ValueError):
+        make_trajectory([0.0, 1.0], [1.0], [0.0], [0.0], [0.0], [0.0], [0.0], [0.0])
+
+
+def test_trajectory_columns_and_rows_agree():
+    params = ReservoirParams(lambda_ratio=0.3)
+    grid = np.linspace(0.0, 6.0, 7)
+    traj = evolve_trajectory(StateFamily(Family.PHI, 0.4, 0.9), params, grid)
+    assert traj.dtype.names == (
+        "t", "chi", "concurrence", "mutual_info", "classical_corr", "discord", "theta", "phi"
+    )
+    assert np.array_equal(traj.t, grid)
+    assert traj.chi.tolist() == [evaluate_chi(params, t) for t in grid.tolist()]
+    for k, rec in enumerate(traj):
+        assert rec.t == traj.t[k] and rec.discord == traj.discord[k]
 
 
 def test_trajectory_first_point_matches_static_measures():
@@ -178,14 +209,14 @@ def test_trajectory_rejects_empty_grid():
 
 def test_esd_constant_zero_starts_at_first_point():
     ts = np.linspace(0.0, 10.0, 101)
-    report = detect_esd(series_from(ts))
+    report = detect_esd(synth(ts))
     assert report.esd_time == 0.0
     assert report.revival_times == ()
 
 
 def test_esd_absent_when_alive():
     ts = np.linspace(0.0, 10.0, 101)
-    report = detect_esd(series_from(ts, concs=[0.5] * 101))
+    report = detect_esd(synth(ts, concs=[0.5] * 101))
     assert report.esd_time is None
     assert report.revival_times == ()
 
@@ -202,7 +233,7 @@ def test_esd_with_revival_interval():
             concs.append(0.2)  # revival
         else:
             concs.append(1e-12)  # tail: tiny but strictly positive
-    report = detect_esd(series_from(ts, concs=concs))
+    report = detect_esd(synth(ts, concs=concs))
     assert report.esd_time == pytest.approx(3.0)
     assert len(report.revival_times) == 1
     start, end = report.revival_times[0]
@@ -215,14 +246,14 @@ def test_esd_requires_exact_zero_not_just_small():
     # clamping to zero; that must not be classified as sudden death.
     ts = np.linspace(0.0, 10.0, 101)
     concs = [0.4 if i < 30 else 1e-12 for i in range(101)]
-    report = detect_esd(series_from(ts, concs=concs))
+    report = detect_esd(synth(ts, concs=concs))
     assert report.esd_time is None
 
 
 def test_esd_requires_dwell():
     ts = np.linspace(0.0, 10.0, 101)
     concs = [0.0 if 30 <= i <= 33 else 0.4 for i in range(101)]
-    report = detect_esd(series_from(ts, concs=concs), dwell_window=0.5)
+    report = detect_esd(synth(ts, concs=concs), dwell_window=0.5)
     assert report.esd_time is None
 
 
@@ -232,7 +263,7 @@ def test_esd_requires_dwell():
 def test_discord_zeros_isolated_dip():
     ts = np.linspace(0.0, 10.0, 101)
     discords = [0.01 * abs(t - 4.97) for t in ts]
-    zeros = detect_discord_zeros(series_from(ts, discords=discords))
+    zeros = detect_discord_zeros(synth(ts, discords=discords))
     assert len(zeros) == 1
     assert abs(zeros[0] - 4.97) < 0.1
 
@@ -240,7 +271,7 @@ def test_discord_zeros_isolated_dip():
 def test_discord_zeros_plateau_reports_edges():
     ts = np.linspace(0.0, 10.0, 101)
     discords = [0.0 if 40 <= i <= 50 else 0.5 for i in range(101)]
-    zeros = detect_discord_zeros(series_from(ts, discords=discords))
+    zeros = detect_discord_zeros(synth(ts, discords=discords))
     assert len(zeros) == 2
     assert zeros[0] == pytest.approx(4.0)
     assert zeros[1] == pytest.approx(5.0)
@@ -248,21 +279,21 @@ def test_discord_zeros_plateau_reports_edges():
 
 def test_discord_zeros_all_zero_collapses_to_endpoints():
     ts = np.linspace(0.0, 5.0, 51)
-    zeros = detect_discord_zeros(series_from(ts))
+    zeros = detect_discord_zeros(synth(ts))
     assert zeros == [0.0, 5.0]
 
 
 def test_discord_zeros_monotone_decay_is_empty():
     ts = np.linspace(0.0, 20.0, 201)
     discords = [math.exp(-0.8 * t) for t in ts]
-    assert detect_discord_zeros(series_from(ts, discords=discords)) == []
+    assert detect_discord_zeros(synth(ts, discords=discords)) == []
 
 
 def test_discord_zeros_noise_floor_not_flagged():
     # Wiggle at the arithmetic noise floor has no prominence and is ignored.
     ts = np.linspace(0.0, 10.0, 101)
     discords = [1e-11 * (1.0 + 0.5 * math.sin(10.0 * t)) for t in ts]
-    assert detect_discord_zeros(series_from(ts, discords=discords)) == []
+    assert detect_discord_zeros(synth(ts, discords=discords)) == []
 
 
 def test_discord_zeros_match_amplitude_zeros_cross_module():
@@ -276,6 +307,46 @@ def test_discord_zeros_match_amplitude_zeros_cross_module():
     assert abs(zeros[0] - t1) <= step
 
 
+def test_discord_zeros_are_python_floats():
+    ts = np.linspace(0.0, 10.0, 101)
+    dip = [0.01 * abs(t - 4.97) for t in ts]  # parabola vertex
+    plateau = [0.0 if 40 <= i <= 50 else 0.5 for i in range(101)]  # run edges
+    for discords in (dip, plateau, None):  # None: all zero, endpoints
+        zeros = detect_discord_zeros(synth(ts, discords=discords))
+        assert zeros and all(type(z) is float for z in zeros)
+
+
+def test_detectors_reject_empty_trajectory():
+    empty = synth([])
+    for detector in (detect_esd, detect_discord_zeros, revival_amplitude):
+        with pytest.raises(ValueError):
+            detector(empty)
+
+
+def test_detectors_on_one_and_two_point_trajectories():
+    one_dead = synth([2.0])
+    assert detect_esd(one_dead) == EsdReport(None, ())  # shorter than the dwell window
+    assert detect_esd(one_dead, dwell_window=0.0) == EsdReport(2.0, ())
+    assert detect_discord_zeros(one_dead) == [2.0, 2.0]
+    with pytest.raises(NoRevivalError):
+        revival_amplitude(one_dead)
+    one_alive = synth([2.0], concs=[0.5], discords=[0.3])
+    assert detect_esd(one_alive) == EsdReport(None, ())
+    assert detect_discord_zeros(one_alive) == []
+    with pytest.raises(NoRevivalError):
+        revival_amplitude(one_alive)
+
+    two_dead = synth([0.0, 1.0])
+    assert detect_esd(two_dead) == EsdReport(0.0, ())
+    assert detect_discord_zeros(two_dead) == [0.0, 1.0]
+    assert revival_amplitude(two_dead) == 0.0
+    two_alive = synth([0.0, 1.0], concs=[0.5, 0.4], discords=[0.3, 0.2])
+    assert detect_esd(two_alive) == EsdReport(None, ())
+    assert detect_discord_zeros(two_alive) == []
+    dead_then_alive = synth([0.0, 1.0], concs=[0.0, 0.4])
+    assert detect_esd(dead_then_alive, dwell_window=0.0) == EsdReport(0.0, ((1.0, 1.0),))
+
+
 # --------------------------------------------------------- revival amplitude
 
 
@@ -285,7 +356,7 @@ def test_revival_amplitude_after_dip():
         0.01 * abs(t - 4.0) if i <= 50 else 0.3 * (t - 5.0) / 5.0
         for i, t in enumerate(ts)
     ]
-    amp = revival_amplitude(series_from(ts, discords=discords))
+    amp = revival_amplitude(synth(ts, discords=discords))
     assert amp == pytest.approx(0.3, abs=1e-12)
 
 
@@ -293,14 +364,14 @@ def test_revival_amplitude_monotone_decay_raises():
     ts = np.linspace(0.0, 10.0, 101)
     discords = [math.exp(-t) for t in ts]
     with pytest.raises(NoRevivalError):
-        revival_amplitude(series_from(ts, discords=discords))
+        revival_amplitude(synth(ts, discords=discords))
 
 
 def test_revival_amplitude_truncated_before_zero_raises():
     ts = np.linspace(0.0, 3.0, 31)  # window ends before any dip
     discords = [0.01 * abs(t - 4.97) for t in ts]
     with pytest.raises(NoRevivalError):
-        revival_amplitude(series_from(ts, discords=discords))
+        revival_amplitude(synth(ts, discords=discords))
 
 
 # ------------------------------------------------------------------ CSV
@@ -389,9 +460,9 @@ def test_read_sweep_csv_rejects_wrong_header(tmp_path):
 
 
 def test_every_emitted_record_is_consistent():
-    # CorrelationRecord construction enforces the bookkeeping invariants,
-    # so a full trajectory materializing without error is itself the check;
-    # verify a few numbers are inside their ranges anyway.
+    # make_trajectory enforces the bookkeeping invariants, so a full
+    # trajectory materializing without error is itself the check; verify a
+    # few numbers are inside their ranges anyway.
     params = ReservoirParams(lambda_ratio=0.25)
     series = evolve_trajectory(
         StateFamily(Family.PHI, 0.3, 0.85), params, np.linspace(0.0, 8.0, 17)
