@@ -22,9 +22,9 @@ from discordsim import (
     NoRevivalError,
     detect_discord_zeros,
     detect_esd,
-    make_trajectory,
     read_sweep_csv,
     revival_amplitude,
+    trajectory_from_csv_rows,
 )
 
 
@@ -45,10 +45,8 @@ def main() -> int:
 
     print(f"{'alpha_sq':>10} {'r':>6} {'lam':>6}  {'death':>8}  zeros / revival")
     for lo, hi in zip(boundaries, boundaries[1:]):
-        rows = data[lo:hi]
-        # CSV columns t, alpha_sq, r, lambda_ratio, chi, then the trajectory fields
-        traj = make_trajectory(rows[:, 0], *rows[:, 4:].T)
-        alpha_sq, r, lam = rows[0, 1:4]
+        traj = trajectory_from_csv_rows(data[lo:hi])
+        alpha_sq, r, lam = data[lo, 1:4]
         report = detect_esd(traj)
         zeros = detect_discord_zeros(traj)
         try:

@@ -64,6 +64,21 @@ def canonical_angles(theta, phi):
     return theta[()], phi[()]  # [()] turns 0-d results into scalars
 
 
+def angle_rules(theta, phi):
+    """The basis-angle rules, elementwise, as (passing mask, message for index k).
+
+    theta must lie in [0, pi/2] and phi in [0, 2 pi); written as "passes",
+    so NaN fails.  Scalars are checked as arrays of one.
+    """
+    th, ph = np.atleast_1d(theta), np.atleast_1d(phi)
+    return (
+        ((0.0 <= th) & (th <= 0.5 * math.pi),
+         lambda k: f"theta must lie in [0, pi/2], got {th[k]}"),
+        ((0.0 <= ph) & (ph < 2.0 * math.pi),
+         lambda k: f"phi must lie in [0, 2 pi), got {ph[k]}"),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class MeasurementBasis:
     """Rank-1 projective measurement direction on one qubit.
@@ -77,10 +92,9 @@ class MeasurementBasis:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 0.5 * math.pi:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
+        for ok, message in angle_rules(self.theta, self.phi):
+            if not ok[0]:
+                raise ValueError(message(0))
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         ct, st = math.cos(self.theta), math.sin(self.theta)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import (
+    angle_rules,
     classical_correlation_stack,
     concurrence_stack,
     discord_from_parts,
@@ -38,6 +39,7 @@ __all__ = [
     "revival_amplitude",
     "run_sweep",
     "read_sweep_csv",
+    "trajectory_from_csv_rows",
     "CSV_COLUMNS",
     "DEFAULT_ESD_THRESHOLD",
     "DEFAULT_ESD_DWELL",
@@ -59,28 +61,18 @@ _MIN_PROMINENCE = 1e-7
 _AXIS_NAMES = ("alpha_sq", "r", "lambda_ratio")
 
 _TRAJECTORY_FIELDS = (
-    "t",
-    "chi",
-    "concurrence",
-    "mutual_info",
-    "classical_corr",
-    "discord",
-    "theta",
-    "phi",
+    "t", "chi", "concurrence", "mutual_info", "classical_corr", "discord", "theta", "phi"
 )
 
-CSV_COLUMNS = (
-    "t_gamma0",
-    "alpha_sq",
-    "r",
-    "lambda_ratio",
-    "chi",
-    "concurrence",
-    "mutual_info_bits",
-    "classical_corr_bits",
-    "discord_bits",
-    "argmax_theta",
-    "argmax_phi",
+# A CSV row is t, the three parameters, then the other trajectory fields in
+# order, so format_csv_rows and trajectory_from_csv_rows read the fields in
+# place; these fields carry their unit or role in the column name.
+_CSV_NAMES = {
+    "t": "t_gamma0", "mutual_info": "mutual_info_bits", "classical_corr": "classical_corr_bits",
+    "discord": "discord_bits", "theta": "argmax_theta", "phi": "argmax_phi",
+}
+CSV_COLUMNS = tuple(
+    _CSV_NAMES.get(f, f) for f in ("t", *_AXIS_NAMES, *_TRAJECTORY_FIELDS[1:])
 )
 _CSV_ROW = ",".join(["{:.17g}"] * len(CSV_COLUMNS))  # 17 significant digits round-trip
 
@@ -221,10 +213,7 @@ def make_trajectory(
          lambda k: f"discord below round-off floor: {d[k]}"),
         (np.abs(d - gap) <= 1e-9,
          lambda k: f"discord {d[k]} inconsistent with total - classical = {gap[k]}"),
-        ((0.0 <= th) & (th <= 0.5 * math.pi),
-         lambda k: f"theta must lie in [0, pi/2], got {th[k]}"),
-        ((0.0 <= ph) & (ph < 2.0 * math.pi),
-         lambda k: f"phi must lie in [0, 2 pi), got {ph[k]}"),
+        *angle_rules(th, ph),
     )
     for ok, message in checks:
         bad = np.flatnonzero(~ok)
@@ -396,7 +385,6 @@ def format_csv_rows(
     well defined.
     """
     fixed = (float(alpha_sq), float(r), float(params.lambda_ratio))
-    # The fields after t are the CSV columns after lambda_ratio, in order.
     return [_CSV_ROW.format(t, *fixed, *rest) for t, *rest in traj.tolist()]
 
 
@@ -435,3 +423,8 @@ def read_sweep_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected columns {header}")
     return header, data
+
+
+def trajectory_from_csv_rows(rows: np.ndarray) -> np.recarray:
+    """Validated trajectory from the rows of one trajectory of ``read_sweep_csv`` data."""
+    return make_trajectory(rows[:, 0], *rows[:, 1 + len(_AXIS_NAMES) :].T)

@@ -381,6 +381,9 @@ def test_basis_range_validation():
         MeasurementBasis(2.0, 0.0)  # > pi/2
     with pytest.raises(ValueError):
         MeasurementBasis(0.3, 6.5)  # >= 2*pi
+    # the rule make_trajectory applies to its angle columns, NaN included
+    with pytest.raises(ValueError, match=r"phi must lie in \[0, 2 pi\), got nan"):
+        MeasurementBasis(0.3, math.nan)
 
 
 def test_canonical_angles_equivalences():

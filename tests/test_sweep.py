@@ -35,6 +35,7 @@ from discordsim import (
     read_sweep_csv,
     revival_amplitude,
     run_sweep,
+    trajectory_from_csv_rows,
     trajectory_from_state,
 )
 
@@ -418,13 +419,11 @@ def test_run_sweep_round_trip(small_fig2):
         t_grid,
     )
     block = data[5 * 11 : 6 * 11]
-    for row, rec in zip(block, records):
-        assert row[0] == pytest.approx(rec.t, abs=1e-12)
-        assert row[1] == pytest.approx(alpha_sq, abs=1e-12)
-        assert row[5] == pytest.approx(rec.concurrence, abs=1e-12)
-        assert row[6] == pytest.approx(rec.mutual_info, abs=1e-12)
-        assert row[7] == pytest.approx(rec.classical_corr, abs=1e-12)
-        assert row[8] == pytest.approx(rec.discord, abs=1e-12)
+    assert np.all(block[:, 1:4] == (alpha_sq, r, lam))
+    # 17 significant digits round-trip, so every field comes back exactly
+    again = trajectory_from_csv_rows(block)
+    for name in records.dtype.names:
+        assert np.array_equal(again[name], records[name]), name
 
 
 def test_run_sweep_family_major_ordering(tmp_path):
