@@ -11,6 +11,7 @@ as a CSV file with deterministic bytes.
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,30 @@ def _parabola_vertex(t0, t1, t2, d0, d1, d2) -> float:
     return float(min(max(tv, 0.5 * (t0 + t1)), 0.5 * (t1 + t2)))
 
 
+def _prominent_dips(d: np.ndarray, min_prominence: float) -> list[tuple[int, int]]:
+    """(first, last) index of each flat dip of ``d`` with at least ``min_prominence``.
+
+    A dip is a maximal run of equal values that touches neither end and whose
+    neighbouring runs are both higher.  Its prominence is that of
+    ``scipy.signal.find_peaks(-d, plateau_size=(1, None))`` restated for
+    minima: on each side, walk outward until ``d`` first falls below the dip
+    or ends, take the highest value reached, and subtract the dip's value
+    from the lower of the two highs.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    ends = np.append(starts[1:] - 1, d.size - 1)
+    v = d[starts]  # one value per run; a walk moves run by run
+    runs = v.tolist()
+    dips = []
+    for k in (np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1).tolist():
+        floor = runs[k]
+        left = max(takewhile(floor.__le__, reversed(runs[:k])))
+        right = max(takewhile(floor.__le__, runs[k + 1 :]))
+        if min(left, right) - floor >= min_prominence:
+            dips.append((int(starts[k]), int(ends[k])))
+    return dips
+
+
 def detect_discord_zeros(
     traj: np.recarray, threshold: float = DEFAULT_ZERO_THRESHOLD
 ) -> list[float]:
@@ -333,22 +358,17 @@ def detect_discord_zeros(
     values report their two edge times.  A trajectory whose discord never
     exceeds the noise floor collapses to its endpoint times.
     """
-    # Imported here so that CLI start-up does not pay for scipy.signal.
-    from scipy.signal import find_peaks
-
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     t, d = traj.t, traj.discord
     if bool(np.all(d < _EXACT_ZERO)):
         return [float(t[0]), float(t[-1])]
 
-    peaks, props = find_peaks(-d, prominence=_MIN_PROMINENCE, plateau_size=(1, None))
     zeros: list[float] = []
-    for k, i in enumerate(peaks):
+    for left, right in _prominent_dips(d, _MIN_PROMINENCE):
+        i = (left + right) // 2
         if d[i] >= threshold:
             continue
-        left = int(props["left_edges"][k])
-        right = int(props["right_edges"][k])
         if right > left:
             zeros.append(float(t[left]))
             zeros.append(float(t[right]))

@@ -8,6 +8,8 @@ trajectory-level ones.  All randomness is seeded, so both tiers are
 deterministic.
 """
 
+from __future__ import annotations
+
 import dataclasses
 import math
 import tempfile

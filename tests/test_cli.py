@@ -36,20 +36,21 @@ def test_no_subcommand_is_usage_error():
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # Only the discord-zero detector needs scipy (scipy.signal); CLI start-up
-    # should pay for neither it nor scipy.optimize.
+    # discordsim needs only numpy at run time, and CLI start-up should not pay
+    # for numpy.random (which also loads hashlib and OpenSSL) either.
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, discordsim.cli; "
-            "print('scipy.signal' in sys.modules, 'scipy.optimize' in sys.modules)",
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))",
         ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_usage_error():

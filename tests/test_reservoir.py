@@ -122,10 +122,23 @@ def test_degenerate_boundary_continuity():
         assert abs(evaluate_chi(hi, t) - c) < 1e-6
 
 
-def _chi_reference(lam: float, t: float) -> float:
-    """chi for lambda_ratio >= 2 in 50-digit decimal arithmetic (exp and sqrt only).
+def _cos_sinc(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin(x) / x as Taylor series in the current decimal context."""
+    cos = sinc = term = Decimal(1)  # term is (-x^2)^n / (2n)!
+    n = 0
+    while abs(term) > Decimal("1e-60"):
+        n += 1
+        term *= -x * x / ((2 * n - 1) * (2 * n))
+        cos += term
+        sinc += term / (2 * n + 1)
+    return cos, sinc
 
-    Written as two exponentials, so that exp(d t / 2) cannot overflow the
+
+def _chi_reference(lam: float, t: float) -> float:
+    """chi in 50-digit decimal arithmetic (exp, sqrt and Taylor series only).
+
+    Below lambda_ratio = 2 it is exp(-h) (cos x + h sin(x) / x).  From 2 on it
+    is written as two exponentials, so that exp(d t / 2) cannot overflow the
     decimal context for wide spectra.
     """
     with localcontext() as ctx:
@@ -134,8 +147,11 @@ def _chi_reference(lam: float, t: float) -> float:
         h = lam_d * t_d / 2
         if lam == 2.0:
             return float((-h).exp() * (1 + h))
-        d = (lam_d * (lam_d - 2)).sqrt()
+        d = (lam_d * abs(lam_d - 2)).sqrt()
         x = d * t_d / 2
+        if lam < 2.0:
+            cos, sinc = _cos_sinc(x)
+            return float((-h).exp() * (cos + h * sinc))
         ratio = lam_d / d
         return float(((1 + ratio) * (x - h).exp() + (1 - ratio) * (-x - h).exp()) / 2)
 
@@ -216,3 +232,18 @@ def test_kernel_rejects_bad_grids():
 )
 def test_property_chi_stays_in_unit_band(lam, t):
     assert abs(evaluate_chi(ReservoirParams(lambda_ratio=lam), t)) <= 1.0 + 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lam=st.one_of(
+        st.floats(math.log(1e-6), math.log(1e6)).map(math.exp),
+        st.floats(2.0 - 1e-9, 2.0 + 1e-9),
+    ),
+    t=st.floats(0.0, 40.0),
+)
+def test_property_chi_matches_reference_across_regimes(lam, t):
+    # Log-uniform widths from 1e-6 to 1e6 and the lambda_ratio = 2 band,
+    # against the 50-digit reference.
+    chi = evaluate_chi(ReservoirParams(lambda_ratio=lam), t)
+    assert abs(chi - _chi_reference(lam, t)) < 1e-15

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from discordsim import (
     CSV_COLUMNS,
@@ -38,6 +43,14 @@ from discordsim import (
     trajectory_from_csv_rows,
     trajectory_from_state,
 )
+from discordsim.sweep import (
+    _EXACT_ZERO,
+    _MIN_PROMINENCE,
+    DEFAULT_ZERO_THRESHOLD,
+    _parabola_vertex,
+    _prominent_dips,
+)
+
 
 def synth(ts, concs=None, discords=None) -> np.recarray:
     """Trajectory with prescribed concurrence/discord (default 0) and consistent bookkeeping."""
@@ -346,6 +359,105 @@ def test_detectors_on_one_and_two_point_trajectories():
     assert detect_discord_zeros(two_alive) == []
     dead_then_alive = synth([0.0, 1.0], concs=[0.0, 0.4])
     assert detect_esd(dead_then_alive, dwell_window=0.0) == EsdReport(0.0, ((1.0, 1.0),))
+
+
+def test_detectors_run_without_scipy():
+    # The detectors need only numpy: with scipy made unimportable, an
+    # oscillating trajectory still yields its discord zeros and revival.
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np, discordsim as ds\n"
+        "traj = ds.evolve_trajectory(ds.StateFamily(ds.Family.PSI, 0.5, 1.0),\n"
+        "    ds.ReservoirParams(lambda_ratio=0.1), np.linspace(0.0, 25.0, 51))\n"
+        "ds.detect_esd(traj)\n"
+        "print(len(ds.detect_discord_zeros(traj)), ds.revival_amplitude(traj) > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    count, revived = proc.stdout.split()
+    assert int(count) >= 1 and revived == "True"
+
+
+@st.composite
+def _plateau_sequences(draw):
+    """Runs over a 3-5 value alphabet; the end runs are plateaus, inner runs may be too.
+
+    The values are quarters, so that a dip 0.5 deep is exactly 0.5 deep.
+    """
+    quarters = st.integers(0, 4).map(lambda k: k / 4)
+    alphabet = draw(st.lists(quarters, min_size=3, max_size=5, unique=True))
+    n_runs = draw(st.integers(1, 10))
+    values = draw(st.lists(st.sampled_from(alphabet), min_size=n_runs, max_size=n_runs))
+    lengths = [
+        draw(st.integers(2 if k in (0, n_runs - 1) else 1, 6)) for k in range(n_runs)
+    ]
+    return [v for v, n in zip(values, lengths) for _ in range(n)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    d=st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        _plateau_sequences(),
+    ),
+    prominence=st.sampled_from([0.0, 1e-7, 0.5]),
+)
+def test_prominent_dips_match_find_peaks(d, prominence):
+    # scipy's find_peaks on -d with flat peaks allowed is the oracle: the
+    # same dips, edges and midpoints, kept by the same >= prominence rule.
+    d = np.array(d)
+    peaks, props = find_peaks(-d, prominence=prominence, plateau_size=(1, None))
+    dips = _prominent_dips(d, prominence)
+    assert [first for first, _ in dips] == props["left_edges"].tolist()
+    assert [last for _, last in dips] == props["right_edges"].tolist()
+    assert [(first + last) // 2 for first, last in dips] == peaks.tolist()
+
+
+def _find_peaks_discord_zeros(traj, threshold=DEFAULT_ZERO_THRESHOLD):
+    """detect_discord_zeros written with scipy's find_peaks, as an oracle."""
+    t, d = traj.t, traj.discord
+    if bool(np.all(d < _EXACT_ZERO)):
+        return [float(t[0]), float(t[-1])]
+    peaks, props = find_peaks(-d, prominence=_MIN_PROMINENCE, plateau_size=(1, None))
+    zeros = []
+    for k, i in enumerate(peaks):
+        if d[i] >= threshold:
+            continue
+        left = int(props["left_edges"][k])
+        right = int(props["right_edges"][k])
+        if right > left:
+            zeros.append(float(t[left]))
+            zeros.append(float(t[right]))
+        else:
+            zeros.append(
+                _parabola_vertex(t[i - 1], t[i], t[i + 1], d[i - 1], d[i], d[i + 1])
+            )
+    return sorted(zeros)
+
+
+def test_discord_zeros_and_revival_match_find_peaks_oracle():
+    # Coarse 26-point trajectories of both families, half with oscillating
+    # and half with monotone chi, r near the Werner onset 1/3 on a third.
+    rng = np.random.default_rng(2009)
+    for i in range(120):
+        alpha_sq = rng.uniform()
+        r = 1.0 / 3.0 + rng.uniform(-0.02, 0.02) if i % 3 == 0 else rng.uniform(0.34, 1.0)
+        if (i // 2) % 2 == 0:
+            lam, t_max = math.exp(rng.uniform(math.log(0.05), math.log(1.5))), 25.0
+        else:
+            lam, t_max = math.exp(rng.uniform(math.log(2.5), math.log(20.0))), 20.0
+        scenario = StateFamily((Family.PHI, Family.PSI)[i % 2], alpha_sq, r)
+        traj = evolve_trajectory(
+            scenario, ReservoirParams(lambda_ratio=lam), np.linspace(0.0, t_max, 26)
+        )
+        expected = _find_peaks_discord_zeros(traj)
+        assert detect_discord_zeros(traj) == expected
+        after = traj.discord[traj.t > expected[0]] if expected else np.array([])
+        if after.size:
+            assert revival_amplitude(traj) == float(after.max())
+        else:
+            with pytest.raises(NoRevivalError):
+                revival_amplitude(traj)
 
 
 # --------------------------------------------------------- revival amplitude
