@@ -202,12 +202,25 @@ def _weighted_entropy(blocks: np.ndarray) -> np.ndarray:
     return np.maximum(terms[0] - terms[1] - terms[2], 0.0)
 
 
-def _angle_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat n x n grid over theta in [0, pi/2] and phi in [0, 2 pi)."""
-    thetas = np.linspace(0.0, 0.5 * math.pi, n)
-    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return tt.ravel(), pp.ravel()
+def _angle_axes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axes of the n x n grid over theta in [0, pi/2] and phi in [0, 2 pi); pair
+    j of the flat grid is (thetas[j // n], phis[j % n])."""
+    return np.linspace(0.0, 0.5 * math.pi, n), np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+
+def _grid_rows(n: int):
+    """Read-only projector rows (1, k, 4) of the flat n x n grid, in order,
+    k <= _PAIRS_PER_CALL pairs at a time."""
+    thetas, phis = _angle_axes(n)
+    for lo in range(0, n * n, _PAIRS_PER_CALL):
+        j = np.arange(lo, min(lo + _PAIRS_PER_CALL, n * n))
+        rows = _projector_rows(thetas[j // n], phis[j % n])[None]
+        rows.setflags(write=False)
+        yield rows
+
+
+# The seed rows do not depend on the state, so they are built once per process.
+_SEED_ROWS = tuple(_grid_rows(_SEED_GRID_N))
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Qubit = Qubit.B) -> float:
@@ -231,8 +244,7 @@ def brute_force_classical_correlation(
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n}")
     ev = _GainEvaluator(_stack_of_one(rho), measured)
-    gain = ev([0], _projector_rows(*_angle_grid(grid_n))[None])
-    return max(0.0, float(gain.max()))
+    return max(0.0, float(np.max([ev([0], rows).max() for rows in _grid_rows(grid_n)])))
 
 
 def classical_correlation_stack(
@@ -246,14 +258,13 @@ def classical_correlation_stack(
     """
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
-    tt, pp = _angle_grid(_SEED_GRID_N)
-    chunks = [slice(lo, lo + _PAIRS_PER_CALL) for lo in range(0, tt.size, _PAIRS_PER_CALL)]
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = np.concatenate([ev([i], _projector_rows(tt[c], pp[c])[None])[0] for c in chunks])
+        gain = np.concatenate([ev([i], rows)[0] for rows in _SEED_ROWS])
         order[i] = np.argsort(gain)[::-1][:3]
         value[i] = gain[order[i]]
-    point = np.stack([tt[order], pp[order]], axis=-1).reshape(-1, 2)
+    thetas, phis = _angle_axes(_SEED_GRID_N)
+    point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
     step = np.full(3 * n, 0.5)
     while (live := np.flatnonzero(step >= _STEP_TOL)).size:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ from discordsim import (
     von_neumann_entropy,
 )
 from discordsim.correlations import (
+    _COMPASS,
+    _MIN_IMPROVEMENT,
+    _PAIRS_PER_CALL,
+    _SEED_GRID_N,
+    _SEED_ROWS,
+    _STEP_TOL,
+    _GainEvaluator,
+    _projector_rows,
     canonical_angles,
     classical_correlation_stack,
     concurrence_stack,
@@ -249,6 +258,20 @@ def test_brute_force_bell_dense_grid():
 def test_brute_force_grid_size_validated(rng):
     with pytest.raises(ValueError):
         brute_force_classical_correlation(random_density(rng, 4), 4)
+
+
+def test_brute_force_peak_memory_is_bounded(rng):
+    # The 256 x 256 grid goes through the evaluator in half-seed-grid slices,
+    # not as one 65 536-pair call (about 14 MB).
+    rho = random_density(rng, 4)
+    brute_force_classical_correlation(rho, 256)
+    tracemalloc.start()
+    try:
+        brute_force_classical_correlation(rho, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_optimizer_dominates_grid(rng):
@@ -476,3 +499,82 @@ def test_stack_rows_match_one_state_calls(rng):
     for k, rho in enumerate(states):
         assert abs(conc[k] - concurrence(rho)) < 1e-12
         assert abs(total[k] - mutual_information(rho)) < 1e-12
+
+
+def _seed_compass_oracle(stack, measured):
+    """classical_correlation_stack with the seed rows rebuilt per state and per chunk."""
+    ev = _GainEvaluator(stack, measured)
+    n = ev.s_x.size
+    thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
+    phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
+    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    chunks = [slice(lo, lo + _PAIRS_PER_CALL) for lo in range(0, tt.size, _PAIRS_PER_CALL)]
+    order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
+    for i in range(n):
+        gain = np.concatenate([ev([i], _projector_rows(tt[c], pp[c])[None])[0] for c in chunks])
+        order[i] = np.argsort(gain)[::-1][:3]
+        value[i] = gain[order[i]]
+    point = np.stack([tt[order], pp[order]], axis=-1).reshape(-1, 2)
+    value, owner = value.ravel(), np.repeat(np.arange(n), 3)
+    step = np.full(3 * n, 0.5)
+    while (live := np.flatnonzero(step >= _STEP_TOL)).size:
+        for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
+            c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
+            trial = point[c, None, :] + step[c, None, None] * _COMPASS
+            trial_gain = ev(owner[c], _projector_rows(trial[..., 0], trial[..., 1]))
+            best = trial_gain.argmax(axis=1)
+            top = trial_gain.max(axis=1)
+            moved = top > value[c] + _MIN_IMPROVEMENT
+            point[c[moved]] = trial[moved, best[moved]]
+            value[c[moved]] = top[moved]
+            step[c] *= np.where(moved, 2.0, 0.5)
+    k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
+    return (np.maximum(0.0, value[k]), *canonical_angles(point[k, 0], point[k, 1]))
+
+
+def _x_state(rng):
+    """Random X state with complex coherences rho_14 and rho_23."""
+    p = rng.dirichlet(np.ones(4))
+    m = np.diag(p).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        m[i, j] = rng.uniform() * math.sqrt(p[i] * p[j]) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        m[j, i] = m[i, j].conjugate()
+    return m
+
+
+_STATE_KINDS = {
+    "full": lambda rng: random_density(rng, 4).mat,
+    "x": _x_state,
+    "product": lambda rng: np.kron(random_density(rng, 2).mat, random_density(rng, 2).mat),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_STATE_KINDS)), min_size=1, max_size=30),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_cached_seed_rows_match_rebuilt_rows(kinds, measured, seed):
+    # Product states make the gain flat and the top-3 seed choice tie-heavy,
+    # so any change in row values or order would move the argmax columns.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
+    got = classical_correlation_stack(stack, measured)
+    want = _seed_compass_oracle(stack, measured)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_cached_seed_rows_cannot_be_corrupted(rng):
+    assert sum(rows.shape[1] for rows in _SEED_ROWS) == _SEED_GRID_N**2
+    for rows in _SEED_ROWS:
+        with pytest.raises(ValueError):
+            rows[0, 0, 0] = 0.0
+    stack = np.stack([random_density(rng, 4).mat for _ in range(5)])
+    other = np.stack([random_pure(rng).mat for _ in range(3)])
+    first = classical_correlation_stack(stack)
+    classical_correlation_stack(other, Qubit.A)
+    again = classical_correlation_stack(stack)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
