@@ -53,7 +53,8 @@ def canonical_angles(theta, phi):
     """Fold real angles (scalars or arrays) into theta in [0, pi/2], phi in [0, 2 pi).
 
     Uses the exact symmetries of the measurement family: (theta + pi, phi)
-    and (pi - theta, phi + pi) label the same projector pair.
+    and (pi - theta, phi + pi) label the same projector pair.  The mirror
+    (pi/2 - theta, phi + pi) labels it with the outcomes swapped; it is not folded.
     """
     theta = np.fmod(theta, math.pi)
     theta = np.where(theta < 0, theta + math.pi, theta)
@@ -219,8 +220,9 @@ def _grid_rows(n: int):
         yield rows
 
 
-# The seed rows do not depend on the state, so they are built once per process.
-_SEED_ROWS = tuple(_grid_rows(_SEED_GRID_N))
+# Built once per process; the grid's first chunk, theta < pi/4, holds each
+# measurement once (see canonical_angles).
+_SEED_ROWS = next(_grid_rows(_SEED_GRID_N))
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Qubit = Qubit.B) -> float:
@@ -260,7 +262,7 @@ def classical_correlation_stack(
     n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = np.concatenate([ev([i], rows)[0] for rows in _SEED_ROWS])
+        gain = ev([i], _SEED_ROWS)[0]
         order[i] = np.argsort(gain)[::-1][:3]
         value[i] = gain[order[i]]
     thetas, phis = _angle_axes(_SEED_GRID_N)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -122,6 +123,10 @@ def test_degenerate_boundary_continuity():
         assert abs(evaluate_chi(hi, t) - c) < 1e-6
 
 
+# pi to 60 significant digits, for reducing x modulo 2 pi at 50-digit precision.
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
 def _cos_sinc(x: Decimal) -> tuple[Decimal, Decimal]:
     """cos x and sin(x) / x as Taylor series in the current decimal context."""
     cos = sinc = term = Decimal(1)  # term is (-x^2)^n / (2n)!
@@ -137,9 +142,11 @@ def _cos_sinc(x: Decimal) -> tuple[Decimal, Decimal]:
 def _chi_reference(lam: float, t: float) -> float:
     """chi in 50-digit decimal arithmetic (exp, sqrt and Taylor series only).
 
-    Below lambda_ratio = 2 it is exp(-h) (cos x + h sin(x) / x).  From 2 on it
-    is written as two exponentials, so that exp(d t / 2) cannot overflow the
-    decimal context for wide spectra.
+    Below lambda_ratio = 2 it is exp(-h) (cos x + h sin(x) / x), with x
+    reduced modulo 2 pi first: for x in the thousands the Taylor terms would
+    grow to about e^x and cancel.  From 2 on it is written as two
+    exponentials, so that exp(d t / 2) cannot overflow the decimal context
+    for wide spectra.
     """
     with localcontext() as ctx:
         ctx.prec = 50
@@ -150,8 +157,9 @@ def _chi_reference(lam: float, t: float) -> float:
         d = (lam_d * abs(lam_d - 2)).sqrt()
         x = d * t_d / 2
         if lam < 2.0:
-            cos, sinc = _cos_sinc(x)
-            return float((-h).exp() * (cos + h * sinc))
+            r = x % (2 * _PI_60)
+            cos, sinc = _cos_sinc(r)
+            return float((-h).exp() * (cos + h * (sinc * r / x if x else 1)))
         ratio = lam_d / d
         return float(((1 + ratio) * (x - h).exp() + (1 - ratio) * (-x - h).exp()) / 2)
 
@@ -247,3 +255,18 @@ def test_property_chi_matches_reference_across_regimes(lam, t):
     # against the 50-digit reference.
     chi = evaluate_chi(ReservoirParams(lambda_ratio=lam), t)
     assert abs(chi - _chi_reference(lam, t)) < 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.floats(math.log(1e-6), math.log(1e6)).map(math.exp),
+    t=st.floats(40.0, 1e4),
+)
+def test_property_chi_matches_reference_at_large_times(lam, t):
+    # The phase x = d t / 2 and the decay h = lambda t / 2 reach the
+    # thousands, and rounding them to floats shifts chi by a few eps times x + h.
+    chi = evaluate_chi(ReservoirParams(lambda_ratio=lam), t)
+    x = 0.5 * math.sqrt(lam * abs(2.0 - lam)) * t
+    h = 0.5 * lam * t
+    assert math.isfinite(chi) and abs(chi) <= 1.0 + 1e-12
+    assert abs(chi - _chi_reference(lam, t)) <= 1e-15 + 2.0 * sys.float_info.epsilon * (x + h)

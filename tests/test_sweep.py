@@ -51,6 +51,8 @@ from discordsim.sweep import (
     _prominent_dips,
 )
 
+from conftest import random_unitary
+
 
 def synth(ts, concs=None, discords=None) -> np.recarray:
     """Trajectory with prescribed concurrence/discord (default 0) and consistent bookkeeping."""
@@ -187,6 +189,28 @@ def test_trajectory_from_raw_state_matches_family_path():
     for a, b in zip(via_family, via_state):
         assert a.concurrence == b.concurrence
         assert a.discord == b.discord
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small=st.lists(st.sampled_from([-1e-10, -5e-11, 0.0, 1e-15]), min_size=1, max_size=3),
+    lam=st.floats(0.05, 20.0),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_near_singular_raw_states(small, lam, measured, seed):
+    # Eigenvalues at and just past the positivity tolerance: a state is either
+    # rejected at the boundary or gives a trajectory with every column finite.
+    rng = np.random.default_rng(seed)
+    spectrum = np.concatenate([small, rng.dirichlet(np.ones(4 - len(small))) * (1.0 - sum(small))])
+    u = random_unitary(rng, 4)
+    try:
+        rho0 = DensityMatrix((u * spectrum) @ u.conj().T)
+    except ValueError:
+        return
+    traj = trajectory_from_state(rho0, ReservoirParams(lambda_ratio=lam), np.linspace(0.0, 25.0, 11), measured)
+    for name in traj.dtype.names:
+        assert np.all(np.isfinite(traj[name]))
 
 
 def _trajectory_peak_bytes(rho0, params, steps: int) -> int:
