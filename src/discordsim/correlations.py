@@ -181,6 +181,65 @@ class _GainEvaluator:
         return gain - _weighted_entropy(blocks)
 
 
+# I, sigma_x, sigma_y, sigma_z written on the basis order {|1>, |0>}, so the
+# projector onto cos(theta)|1> + e^{i phi} sin(theta)|0> is (I + n.sigma)/2
+# with n as in _directions.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+class _BlochEvaluator:
+    """The same gains as _GainEvaluator from the real Pauli coefficients of each
+    state, for direction rows instead of projector rows.
+
+    With c[t, i, j] = Tr(rho_t sigma_i (x) sigma_j), sigma_i on the unmeasured
+    qubit X, sigma_j on the measured qubit Y and sigma_0 = I, the outcome
+    (I + n.sigma)/2 on Y leaves X in the unnormalized state (m0 I + m.sigma)/4
+    with (m0, m) = c @ (1, n): trace m0/2, eigenvalues (m0 +- |m|)/4.  The
+    other outcome is direction -n, so ``coef`` stacks c over c with its n
+    columns negated and one (8, 4) @ (4, k) product gives both outcomes.
+    Luo, PRA 77, 042303 (2008); Girolami & Adesso, PRA 83, 052108 (2011).
+    """
+
+    __slots__ = ("s_x", "coef")
+
+    def __init__(self, stack: np.ndarray, measured: Qubit):
+        t = stack.reshape(-1, 2, 2, 2, 2)  # indices (state, a, b, a', b')
+        pauli, partial = ("ica,jdb->tij", "nabcb->nac") if measured is Qubit.B else ("jca,idb->tij", "nabad->nbd")
+        c = np.einsum("tabcd," + pauli, t, _PAULI, _PAULI).real
+        self.coef = np.concatenate([c, c * (1.0, -1.0, -1.0, -1.0)], axis=1)
+        self.s_x = _entropy_bits(np.linalg.eigvalsh(np.einsum(partial, t)))
+
+    def __call__(self, states: np.ndarray | list[int], dirs: np.ndarray) -> np.ndarray:
+        """Gains (n, k) of the states with indices ``states`` for their direction rows (n, 4, k)."""
+        m = self.coef.take(states, axis=0) @ dirs
+        m = m.reshape(m.shape[0], 2, 4, m.shape[-1])  # (state, outcome, (m0, m), direction)
+        sq = np.square(m[:, :, 1:])
+        half_r = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
+        half_r *= 0.5
+        terms = np.empty((3,) + half_r.shape)  # p, e+, e- of each block: one _xlog2x call
+        p = np.multiply(m[:, :, 0], 0.5, out=terms[0])
+        np.add(p, half_r, out=terms[1])
+        np.subtract(p, half_r, out=terms[2])
+        terms[1:] *= 0.5
+        terms = _xlog2x(terms)
+        entropy = np.maximum(terms[0] - terms[1] - terms[2], 0.0)  # p S(M/p) per outcome
+        return self.s_x.take(states)[:, None] - entropy[:, 0] - entropy[:, 1]
+
+
+def _directions(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Direction rows (1, n) along axis -2 for angle arrays (..., k) of any real values,
+    n = (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).  The mirror
+    (pi/2 - theta, phi + pi) is -n."""
+    dirs = np.empty(thetas.shape[:-1] + (4,) + thetas.shape[-1:])
+    double = 2.0 * thetas
+    s2 = np.sin(double)
+    dirs[..., 0, :] = 1.0
+    np.multiply(s2, np.cos(phis), out=dirs[..., 1, :])
+    np.multiply(s2, np.sin(phis), out=dirs[..., 2, :])
+    np.cos(double, out=dirs[..., 3, :])
+    return dirs
+
+
 def _projector_rows(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Rows (cos^2, cos sin e^{i phi}, conjugate, sin^2) for angle arrays of any real values."""
     ct, st = np.cos(thetas), np.sin(thetas)
@@ -258,13 +317,15 @@ def classical_correlation_stack(
     Each state's best three seeds of a 64x64 angle grid start a compass search;
     every round advances the unfinished starts of all states together.
     """
-    ev = _GainEvaluator(stack, measured)
-    n = ev.s_x.size
+    seeds = _GainEvaluator(stack, measured)
+    n = seeds.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = ev([i], _SEED_ROWS)[0]
-        order[i] = np.argsort(gain)[::-1][:3]
+        gain = seeds([i], _SEED_ROWS)[0]
+        top = np.argpartition(gain, -3)[-3:]
+        order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]
+    ev = _BlochEvaluator(stack, measured)
     thetas, phis = _angle_axes(_SEED_GRID_N)
     point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
@@ -273,7 +334,7 @@ def classical_correlation_stack(
         for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
             c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
             trial = point[c, None, :] + step[c, None, None] * _COMPASS
-            trial_gain = ev(owner[c], _projector_rows(trial[..., 0], trial[..., 1]))
+            trial_gain = ev(owner[c], _directions(trial[..., 0], trial[..., 1]))
             best = trial_gain.argmax(axis=1)
             top = trial_gain.max(axis=1)
             moved = top > value[c] + _MIN_IMPROVEMENT
@@ -282,7 +343,7 @@ def classical_correlation_stack(
             step[c] *= np.where(moved, 2.0, 0.5)
 
     k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
-    return (np.maximum(0.0, value[k]), *canonical_angles(point[k, 0], point[k, 1]))
+    return (np.maximum(value[k], 0.0), *canonical_angles(point[k, 0], point[k, 1]))
 
 
 def classical_correlation(

@@ -64,6 +64,8 @@ _AXIS_NAMES = ("alpha_sq", "r", "lambda_ratio")
 _TRAJECTORY_FIELDS = (
     "t", "chi", "concurrence", "mutual_info", "classical_corr", "discord", "theta", "phi"
 )
+# Built once: np.rec.fromarrays(names=...) would parse a new dtype per trajectory.
+_TRAJECTORY_DTYPE = np.dtype((np.record, [(f, float) for f in _TRAJECTORY_FIELDS]))
 
 # A CSV row is t, the three parameters, then the other trajectory fields in
 # order, so format_csv_rows and trajectory_from_csv_rows read the fields in
@@ -220,7 +222,7 @@ def make_trajectory(
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise ValueError(f"{message(bad[0])} (row {bad[0]})")
-    return np.rec.fromarrays(cols, names=_TRAJECTORY_FIELDS)
+    return np.rec.fromarrays(cols, dtype=_TRAJECTORY_DTYPE)
 
 
 def trajectory_from_state(

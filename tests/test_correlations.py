@@ -32,7 +32,9 @@ from discordsim.correlations import (
     _SEED_GRID_N,
     _SEED_ROWS,
     _STEP_TOL,
+    _BlochEvaluator,
     _GainEvaluator,
+    _directions,
     _grid_rows,
     _projector_rows,
     canonical_angles,
@@ -605,3 +607,30 @@ def test_seed_rows_are_the_distinct_half_of_the_mirrored_grid(rng):
         for i in range(len(stack)):
             gain = ev([i], full)[0]
             assert np.max(np.abs(gain - gain[mirror])) < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["full", "x"]), min_size=1, max_size=8),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_bloch_gains_match_projector_rows(kinds, measured, seed):
+    # The compass's direction rows n = (sin 2 theta cos phi, sin 2 theta
+    # sin phi, cos 2 theta) against the seeds' and the oracle's projector
+    # rows.  Real X states cannot tell the signs of n apart; full-rank states
+    # and X states with complex coherences can.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
+    thetas = rng.uniform(-7.0, 7.0, (len(kinds), 64))
+    phis = rng.uniform(-10.0, 10.0, (len(kinds), 64))
+    states = np.arange(len(kinds))
+    bloch = _BlochEvaluator(stack, measured)
+    rows = _GainEvaluator(stack, measured)
+    assert np.max(np.abs(bloch.s_x - rows.s_x)) <= 1e-14
+    got = bloch(states, _directions(thetas, phis))
+    assert np.max(np.abs(got - rows(states, _projector_rows(thetas, phis)))) <= 1e-14
+    # The mirror (pi/2 - theta, phi + pi) is the direction -n.
+    mirror = _directions(0.5 * math.pi - thetas, phis + math.pi)
+    assert np.max(np.abs(mirror[:, 1:] + _directions(thetas, phis)[:, 1:])) <= 1e-14
+    assert np.max(np.abs(bloch(states, mirror) - got)) <= 1e-14

@@ -46,6 +46,7 @@ from discordsim import (
 from discordsim.sweep import (
     _EXACT_ZERO,
     _MIN_PROMINENCE,
+    _TRAJECTORY_DTYPE,
     DEFAULT_ZERO_THRESHOLD,
     _parabola_vertex,
     _prominent_dips,
@@ -560,6 +561,37 @@ def test_run_sweep_round_trip(small_fig2):
     again = trajectory_from_csv_rows(block)
     for name in records.dtype.names:
         assert np.array_equal(again[name], records[name]), name
+
+
+def test_trajectories_share_one_record_dtype(small_fig2):
+    # One module-level dtype for every trajectory, equal to the one
+    # np.rec.fromarrays builds from the field names, and kept through the CSV.
+    config, tmp_path = small_fig2
+    params = ReservoirParams(lambda_ratio=0.1)
+    a = evolve_trajectory(StateFamily(Family.PSI, 0.5, 1.0), params, np.linspace(0.0, 5.0, 6))
+    b = synth([0.0, 1.0])
+    names = ("t", "chi", "concurrence", "mutual_info", "classical_corr", "discord", "theta", "phi")
+    by_names = np.rec.fromarrays([np.zeros(2)] * len(names), names=names).dtype
+    assert isinstance(a, np.recarray) and isinstance(b, np.recarray)
+    assert a.dtype == b.dtype == by_names == _TRAJECTORY_DTYPE
+    assert a.dtype.names == names
+    _, data = read_sweep_csv(run_sweep(config, tmp_path / "out.csv"))
+    again = trajectory_from_csv_rows(data[:11])
+    assert again.dtype == _TRAJECTORY_DTYPE
+    assert again.classical_corr.dtype == np.float64
+
+
+@pytest.mark.parametrize("preset, grid, steps", [("fig1", 5, 51), ("fig2", 5, 101)])
+def test_preset_classical_correlation_has_no_negative_zero(tmp_path, preset, grid, steps):
+    # Product-state rows have J = 0 exactly; it must print as 0, not -0.
+    config = figure_preset(preset)
+    config = dataclasses.replace(config, axis=dataclasses.replace(config.axis, count=grid), steps=steps)
+    path = run_sweep(config, tmp_path / f"{preset}.csv")
+    column = CSV_COLUMNS.index("classical_corr_bits")
+    printed = [line.split(",")[column] for line in path.read_text().splitlines()[1:]]
+    assert "0" in printed  # the product-state rows are there
+    assert not any(v.startswith("-") for v in printed)
+    assert not np.any(np.signbit(read_sweep_csv(path)[1][:, column]))
 
 
 def test_run_sweep_family_major_ordering(tmp_path):
