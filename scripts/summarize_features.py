@@ -37,10 +37,10 @@ def main() -> int:
     # one trajectory = one run of identical (alpha_sq, r, lambda_ratio);
     # NaNs (raw-state trajectories) compare equal via their bit pattern
     keys = data[:, 1:4]
-    boundaries = [0] + [
+    boundaries = [
         i
-        for i in range(1, len(data))
-        if not np.array_equal(keys[i], keys[i - 1], equal_nan=True)
+        for i in range(len(data))
+        if i == 0 or not np.array_equal(keys[i], keys[i - 1], equal_nan=True)
     ] + [len(data)]
 
     print(f"{'alpha_sq':>10} {'r':>6} {'lam':>6}  {'death':>8}  zeros / revival")

@@ -13,6 +13,7 @@ functions call it on a stack of one.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,10 +110,15 @@ class MeasurementBasis:
         return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """Elementwise x log2 x, with 0 log 0 = 0 for entries below _ZERO_EIG."""
-    keep = x > _ZERO_EIG
-    out = np.log2(x, out=np.zeros(x.shape), where=keep)
+def _xlog2x(x: np.ndarray, out: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise x log2 x, with 0 log 0 = 0 for entries below _ZERO_EIG; written
+    into ``out``, with ``keep`` as the mask, when these buffers are given."""
+    keep = np.greater(x, _ZERO_EIG, out=keep)
+    if out is None:
+        out = np.zeros(x.shape)
+    else:
+        out.fill(0.0)
+    np.log2(x, out=out, where=keep)
     return np.multiply(out, x, out=out, where=keep)
 
 
@@ -183,7 +189,7 @@ class _GainEvaluator:
 
 # I, sigma_x, sigma_y, sigma_z written on the basis order {|1>, |0>}, so the
 # projector onto cos(theta)|1> + e^{i phi} sin(theta)|0> is (I + n.sigma)/2
-# with n as in _directions.
+# with n as in _fill_directions.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -211,33 +217,98 @@ class _BlochEvaluator:
 
     def __call__(self, states: np.ndarray | list[int], dirs: np.ndarray) -> np.ndarray:
         """Gains (n, k) of the states with indices ``states`` for their direction rows (n, 4, k)."""
-        m = self.coef.take(states, axis=0) @ dirs
-        m = m.reshape(m.shape[0], 2, 4, m.shape[-1])  # (state, outcome, (m0, m), direction)
-        sq = np.square(m[:, :, 1:])
-        half_r = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
+        return self.gains(states, dirs, _BlochWork(len(states), dirs.shape[-1]).at(len(states)))
+
+    def gains(self, states: np.ndarray | list[int], dirs: np.ndarray, w: SimpleNamespace) -> np.ndarray:
+        """``__call__`` computed in the buffers ``w`` of a _BlochWork, which hold the
+        result (``w.gain``) until their next use."""
+        np.take(self.coef, states, axis=0, out=w.coef, mode="clip")  # "raise" would copy
+        np.matmul(w.coef, dirs, out=w.m)
+        np.square(w.m_vec, out=w.sq)
+        sq_x, sq_y, sq_z = w.sq_xyz
+        half_r = np.add(sq_x, sq_y, out=w.half_r)
+        np.add(half_r, sq_z, out=half_r)
+        np.sqrt(half_r, out=half_r)
         half_r *= 0.5
-        terms = np.empty((3,) + half_r.shape)  # p, e+, e- of each block: one _xlog2x call
-        p = np.multiply(m[:, :, 0], 0.5, out=terms[0])
-        np.add(p, half_r, out=terms[1])
-        np.subtract(p, half_r, out=terms[2])
-        terms[1:] *= 0.5
-        terms = _xlog2x(terms)
-        entropy = np.maximum(terms[0] - terms[1] - terms[2], 0.0)  # p S(M/p) per outcome
-        return self.s_x.take(states)[:, None] - entropy[:, 0] - entropy[:, 1]
+        p, e_plus, e_minus = w.terms_split  # p, e+, e- of each block: one _xlog2x call
+        np.multiply(w.m_0, 0.5, out=p)
+        np.add(p, half_r, out=e_plus)
+        np.subtract(p, half_r, out=e_minus)
+        w.eigs *= 0.5
+        _xlog2x(w.terms, w.logs, w.keep)
+        log_p, log_plus, log_minus = w.logs_split
+        entropy = np.subtract(log_p, log_plus, out=w.entropy)  # p S(M/p) per outcome
+        np.subtract(entropy, log_minus, out=entropy)
+        np.maximum(entropy, 0.0, out=entropy)
+        np.take(self.s_x, states, out=w.s_x, mode="clip")
+        first, second = w.entropy_split
+        gain = np.subtract(w.s_x_col, first, out=w.gain)
+        return np.subtract(gain, second, out=gain)
+
+
+class _BlochWork:
+    """Buffers for the Bloch gains of up to ``size`` states at ``d`` directions
+    each, allocated once and reused by every compass round.
+
+    ``at(k)`` views the first k states' share of each buffer shaped as a fresh
+    array of the same shape would be, so rounds in place run the arithmetic of
+    allocating ones bit for bit.  ``dirs`` has its row 0 preset to 1.
+    """
+
+    # Floats per state; ``keep`` is the boolean mask of ``terms``.
+    _SIZES = {"trial": 2, "double": 1, "s2": 1, "trig": 1, "dirs": 4, "m": 8,
+              "sq": 6, "half_r": 2, "terms": 6, "logs": 6, "entropy": 2, "gain": 1}
+
+    def __init__(self, size: int, d: int):
+        self.d = d
+        self.flat = {name: np.empty(size * d * n) for name, n in self._SIZES.items()}
+        self.flat |= {"coef": np.empty(size * 32), "s_x": np.empty(size), "keep": np.empty(size * d * 6, bool)}
+        self.flat["dirs"].reshape(size, 4, d)[:, 0] = 1.0
+        self.views = {}
+
+    def at(self, k: int) -> SimpleNamespace:
+        if (w := self.views.get(k)) is None:
+            d = self.d
+
+            def view(name, *shape):
+                return self.flat[name][: math.prod(shape)].reshape(shape)
+
+            w = self.views[k] = SimpleNamespace(
+                trial=view("trial", k, d, 2), double=view("double", k, d), s2=view("s2", k, d),
+                trig=view("trig", k, d), dirs=view("dirs", k, 4, d), coef=view("coef", k, 8, 4),
+                m=view("m", k, 8, d), half_r=view("half_r", k, 2, d), terms=view("terms", 3, k, 2, d),
+                keep=view("keep", 3, k, 2, d), logs=view("logs", 3, k, 2, d),
+                entropy=view("entropy", k, 2, d), s_x=view("s_x", k), gain=view("gain", k, d),
+            )
+            m = w.m.reshape(k, 2, 4, d)  # (state, outcome, (m0, m), direction)
+            w.m_0, w.m_vec = m[:, :, 0], m[:, :, 1:]
+            w.sq = view("sq", k, 2, 3, d)
+            w.sq_xyz = w.sq[:, :, 0], w.sq[:, :, 1], w.sq[:, :, 2]
+            w.thetas, w.phis = w.trial[..., 0], w.trial[..., 1]
+            w.n_xyz = w.dirs[:, 1], w.dirs[:, 2], w.dirs[:, 3]
+            w.terms_split, w.eigs, w.logs_split = tuple(w.terms), w.terms[1:], tuple(w.logs)
+            w.entropy_split = w.entropy[:, 0], w.entropy[:, 1]
+            w.s_x_col = w.s_x[:, None]
+        return w
+
+
+def _fill_directions(thetas: np.ndarray, phis: np.ndarray, w: SimpleNamespace) -> None:
+    """Direction rows (1, n) into ``w.dirs`` (k, 4, d) for angle arrays (k, d) of
+    any real values, n = (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).
+    The mirror (pi/2 - theta, phi + pi) is -n."""
+    n_x, n_y, n_z = w.n_xyz
+    double = np.multiply(thetas, 2.0, out=w.double)
+    s2 = np.sin(double, out=w.s2)
+    np.multiply(s2, np.cos(phis, out=w.trig), out=n_x)
+    np.multiply(s2, np.sin(phis, out=w.trig), out=n_y)
+    np.cos(double, out=n_z)
 
 
 def _directions(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Direction rows (1, n) along axis -2 for angle arrays (..., k) of any real values,
-    n = (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).  The mirror
-    (pi/2 - theta, phi + pi) is -n."""
-    dirs = np.empty(thetas.shape[:-1] + (4,) + thetas.shape[-1:])
-    double = 2.0 * thetas
-    s2 = np.sin(double)
-    dirs[..., 0, :] = 1.0
-    np.multiply(s2, np.cos(phis), out=dirs[..., 1, :])
-    np.multiply(s2, np.sin(phis), out=dirs[..., 2, :])
-    np.cos(double, out=dirs[..., 3, :])
-    return dirs
+    """Direction rows (k, 4, d) of angle arrays (k, d), as `_fill_directions` writes them."""
+    w = _BlochWork(*thetas.shape).at(thetas.shape[0])
+    _fill_directions(thetas, phis, w)
+    return w.dirs
 
 
 def _projector_rows(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -326,15 +397,20 @@ def classical_correlation_stack(
         order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]
     ev = _BlochEvaluator(stack, measured)
+    chunk = _PAIRS_PER_CALL // len(_COMPASS)
+    work = _BlochWork(min(3 * n, chunk), len(_COMPASS))
     thetas, phis = _angle_axes(_SEED_GRID_N)
     point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
     step = np.full(3 * n, 0.5)
     while (live := np.flatnonzero(step >= _STEP_TOL)).size:
-        for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
-            c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
-            trial = point[c, None, :] + step[c, None, None] * _COMPASS
-            trial_gain = ev(owner[c], _directions(trial[..., 0], trial[..., 1]))
+        for lo in range(0, live.size, chunk):
+            c = live[lo : lo + chunk]
+            w = work.at(c.size)
+            trial = np.multiply(step[c, None, None], _COMPASS, out=w.trial)
+            np.add(point[c, None, :], trial, out=trial)
+            _fill_directions(w.thetas, w.phis, w)
+            trial_gain = ev.gains(owner[c], w.dirs, w)
             best = trial_gain.argmax(axis=1)
             top = trial_gain.max(axis=1)
             moved = top > value[c] + _MIN_IMPROVEMENT

@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 
+# Above about 1.35e154, lambda |2 - lambda| in chi overflows to inf; from about
+# 1e17 up, chi already equals its flat-spectrum (Markov) limit exp(-t/2) in
+# double precision, so wider spectra add nothing.
+_MAX_LAMBDA_RATIO = 1e150
+
+
 class Regime(enum.Enum):
     MARKOVIAN = "markovian"
     NON_MARKOVIAN = "non_markovian"
@@ -32,13 +38,16 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class ReservoirParams:
-    """Lorentzian reservoir coupling: spectral width over decay rate, lambda / gamma0 > 0."""
+    """Lorentzian reservoir coupling: spectral width over decay rate,
+    0 < lambda / gamma0 <= 1e150."""
 
     lambda_ratio: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda_ratio) and self.lambda_ratio > 0):
             raise ValueError(f"lambda_ratio must be positive and finite, got {self.lambda_ratio}")
+        if self.lambda_ratio > _MAX_LAMBDA_RATIO:
+            raise ValueError(f"lambda_ratio must be <= {_MAX_LAMBDA_RATIO:g}, got {self.lambda_ratio}")
 
 
 class NoZerosError(ValueError):

@@ -11,7 +11,7 @@ as a CSV file with deterministic bytes.
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -441,9 +441,14 @@ def read_sweep_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a sweep CSV back as (column names, (rows, columns) array)."""
     with open(path, newline="") as fh:
         header = tuple(fh.readline().strip().split(","))
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected columns {header}")
+        if header != CSV_COLUMNS:
+            raise ValueError(f"unexpected columns {header}")
+        rows = (line for line in fh if line.strip())
+        if (first := next(rows, None)) is None:
+            return header, np.empty((0, len(CSV_COLUMNS)))
+        data = np.loadtxt(chain([first], rows), delimiter=",", ndmin=2)
+    if data.shape[1] != len(CSV_COLUMNS):
+        raise ValueError(f"rows have {data.shape[1]} fields, expected {len(CSV_COLUMNS)}")
     return header, data
 
 

@@ -118,6 +118,13 @@ def test_evolve_rejects_bad_alpha2():
         assert "error:" in proc.stderr.lower()
 
 
+def test_evolve_rejects_too_wide_spectrum():
+    proc = run_cli("evolve", "--lambda-ratio", "1e200", "--steps", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+
+
 @pytest.mark.parametrize("tmax, steps", [("0", "3"), ("inf", "3"), ("-1", "3"), ("1", "1")])
 def test_evolve_rejects_bad_time_grid(tmax, steps):
     proc = run_cli("evolve", "--tmax", tmax, "--steps", steps)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discordsim import (
@@ -32,6 +32,7 @@ from discordsim.correlations import (
     _SEED_GRID_N,
     _SEED_ROWS,
     _STEP_TOL,
+    _ZERO_EIG,
     _BlochEvaluator,
     _GainEvaluator,
     _directions,
@@ -634,3 +635,115 @@ def test_property_bloch_gains_match_projector_rows(kinds, measured, seed):
     mirror = _directions(0.5 * math.pi - thetas, phis + math.pi)
     assert np.max(np.abs(mirror[:, 1:] + _directions(thetas, phis)[:, 1:])) <= 1e-14
     assert np.max(np.abs(bloch(states, mirror) - got)) <= 1e-14
+
+
+def _allocating_bloch_gains(ev, states, dirs):
+    """_BlochEvaluator gains with fresh arrays for every intermediate."""
+    m = ev.coef.take(states, axis=0) @ dirs
+    m = m.reshape(m.shape[0], 2, 4, m.shape[-1])
+    sq = np.square(m[:, :, 1:])
+    half_r = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
+    half_r *= 0.5
+    terms = np.empty((3,) + half_r.shape)
+    p = np.multiply(m[:, :, 0], 0.5, out=terms[0])
+    np.add(p, half_r, out=terms[1])
+    np.subtract(p, half_r, out=terms[2])
+    terms[1:] *= 0.5
+    keep = terms > _ZERO_EIG
+    logs = np.log2(terms, out=np.zeros(terms.shape), where=keep)
+    terms = np.multiply(logs, terms, out=logs, where=keep)
+    entropy = np.maximum(terms[0] - terms[1] - terms[2], 0.0)
+    return ev.s_x.take(states)[:, None] - entropy[:, 0] - entropy[:, 1]
+
+
+def _allocating_directions(thetas, phis):
+    dirs = np.empty(thetas.shape[:-1] + (4,) + thetas.shape[-1:])
+    double = 2.0 * thetas
+    s2 = np.sin(double)
+    dirs[..., 0, :] = 1.0
+    np.multiply(s2, np.cos(phis), out=dirs[..., 1, :])
+    np.multiply(s2, np.sin(phis), out=dirs[..., 2, :])
+    np.cos(double, out=dirs[..., 3, :])
+    return dirs
+
+
+def _allocating_compass_oracle(stack, measured):
+    """classical_correlation_stack with every compass round on fresh arrays."""
+    seeds = _GainEvaluator(stack, measured)
+    n = seeds.s_x.size
+    order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
+    for i in range(n):
+        gain = seeds([i], _SEED_ROWS)[0]
+        top = np.argpartition(gain, -3)[-3:]
+        order[i] = top[np.argsort(gain[top])[::-1]]
+        value[i] = gain[order[i]]
+    ev = _BlochEvaluator(stack, measured)
+    thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
+    phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
+    point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
+    value, owner = value.ravel(), np.repeat(np.arange(n), 3)
+    step = np.full(3 * n, 0.5)
+    while (live := np.flatnonzero(step >= _STEP_TOL)).size:
+        for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
+            c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
+            trial = point[c, None, :] + step[c, None, None] * _COMPASS
+            dirs = _allocating_directions(trial[..., 0], trial[..., 1])
+            trial_gain = _allocating_bloch_gains(ev, owner[c], dirs)
+            best = trial_gain.argmax(axis=1)
+            top = trial_gain.max(axis=1)
+            moved = top > value[c] + _MIN_IMPROVEMENT
+            point[c[moved]] = trial[moved, best[moved]]
+            value[c[moved]] = top[moved]
+            step[c] *= np.where(moved, 2.0, 0.5)
+    k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
+    return (np.maximum(value[k], 0.0), *canonical_angles(point[k, 0], point[k, 1]))
+
+
+def _classical_quantum_state(rng):
+    """p |u><u| (x) |a><a| + (1 - p) |u'><u'| (x) |b><b|, u' orthogonal to u."""
+    u = random_unitary(rng, 2)
+    p = rng.uniform()
+    return sum(
+        w * np.kron(np.outer(u[:, i], u[:, i].conj()), random_pure(rng, 2).mat)
+        for i, w in enumerate((p, 1.0 - p))
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 90),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=90, measured=Qubit.A, seed=0)
+@example(n=86, measured=Qubit.B, seed=1)
+def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed):
+    # Rounds of up to 256 starts reuse one workspace; from 86 states on, the
+    # 3n starts cross that chunk boundary, so a round also runs on a prefix
+    # of the buffers.  The in-place arithmetic must repeat the allocating
+    # one bit for bit.  Classical-quantum states leave pure conditional
+    # states near their optimum, whose eigenvalues below _ZERO_EIG the masked
+    # log2 must count as 0 log 0 = 0 whatever an earlier round left there.
+    rng = np.random.default_rng(seed)
+    kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
+    stack = np.stack([kinds[kind](rng) for kind in rng.choice(sorted(kinds), n)])
+    got = classical_correlation_stack(stack, measured)
+    want = _allocating_compass_oracle(stack, measured)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_results_do_not_alias_the_compass_workspace(rng):
+    stack = np.stack([random_density(rng, 4).mat for _ in range(4)])
+    other = np.stack([_x_state(rng) for _ in range(90)])
+    first = classical_correlation_stack(stack)
+    kept = [a.copy() for a in first]
+    classical_correlation_stack(other, Qubit.A)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+    ev = _BlochEvaluator(stack, Qubit.B)
+    states = np.arange(4)
+    gain = ev(states, _directions(rng.uniform(0, 1, (4, 8)), rng.uniform(0, 6, (4, 8))))
+    kept = gain.copy()
+    ev(states, _directions(rng.uniform(0, 1, (4, 8)), rng.uniform(0, 6, (4, 8))))
+    assert np.array_equal(gain, kept)

@@ -35,6 +35,21 @@ def test_params_validation():
         ReservoirParams(lambda_ratio=-0.3)
 
 
+@pytest.mark.parametrize("lam", [1.4e154, 1e200, 1.7e308])
+def test_params_reject_spectra_too_wide_for_chi(lam):
+    # Above about 1.35e154, lambda |2 - lambda| overflows and chi came out
+    # as 0.5 or NaN instead of its Markov limit exp(-t/2).
+    with pytest.raises(ValueError, match="1e\\+150"):
+        ReservoirParams(lambda_ratio=lam)
+
+
+def test_chi_at_widest_accepted_spectrum_is_markov_limit():
+    params = ReservoirParams(lambda_ratio=1e150)
+    for t in (0.5, 1.0, 5.0):
+        assert evaluate_chi(params, t) == pytest.approx(math.exp(-0.5 * t), rel=1e-15)
+    assert evaluate_chi(params, 0.0) == 1.0
+
+
 def test_regime_classification():
     assert regime(ReservoirParams(lambda_ratio=0.1)) is Regime.NON_MARKOVIAN
     assert regime(ReservoirParams(lambda_ratio=1.99)) is Regime.NON_MARKOVIAN

@@ -626,6 +626,24 @@ def test_read_sweep_csv_rejects_wrong_header(tmp_path):
         read_sweep_csv(bad)
 
 
+def test_read_sweep_csv_rejects_short_rows(tmp_path):
+    # Rows one field short under the right header once came back as a
+    # (2, 10) array that later code misread column by column.
+    bad = tmp_path / "short.csv"
+    row = ",".join(["0.5"] * (len(CSV_COLUMNS) - 1))
+    bad.write_text(",".join(CSV_COLUMNS) + f"\n{row}\n{row}\n")
+    with pytest.raises(ValueError, match="fields"):
+        read_sweep_csv(bad)
+
+
+def test_read_sweep_csv_header_only_is_empty_with_all_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    header, data = read_sweep_csv(path)
+    assert header == CSV_COLUMNS
+    assert data.shape == (0, len(CSV_COLUMNS))
+
+
 def test_every_emitted_record_is_consistent():
     # make_trajectory enforces the bookkeeping invariants, so a full
     # trajectory materializing without error is itself the check; verify a
