@@ -99,19 +99,13 @@ def _chi(lam: float, t: float) -> float:
     return 0.5 * (1.0 + ratio) * slow + 0.5 * (1.0 - ratio) * math.exp(-x - h)
 
 
-def _chi_zero_formula(params: ReservoirParams, n: int) -> float:
-    lam = params.lambda_ratio
-    d = math.sqrt(abs(2.0 * lam - lam * lam))
-    return 2.0 * (n * math.pi - math.atan2(d, lam)) / d
-
-
 def chi_zeros(params: ReservoirParams, n_max: int) -> list[float]:
     """First n_max positive zeros of chi, in dimensionless time units.
 
-    Zeros exist only in the non-Markovian regime; indices start at n = 1
-    (n = 0 would give a negative time).  Each returned time is polished by
-    bisection so that |chi(t_n)| < 1e-9 holds for the evaluated function,
-    not just for the arctan formula.
+    Zeros exist only in the non-Markovian regime, where chi vanishes with
+    cos x + (lambda / d) sin x, x = d t / 2: at the closed form
+    t_n = 2 (n pi - atan2(d, lambda)) / d, d = sqrt(lambda (2 - lambda)),
+    for n = 1, 2, ... (n = 0 would give a negative time).
 
     Raises
     ------
@@ -126,36 +120,10 @@ def chi_zeros(params: ReservoirParams, n_max: int) -> list[float]:
         raise NoZerosError(
             f"chi has no positive zeros for lambda_ratio = {params.lambda_ratio} (Markovian regime)"
         )
-    zeros = []
-    for n in range(1, n_max + 1):
-        t_formula = _chi_zero_formula(params, n)
-        zeros.append(_polish_zero(params, t_formula))
-    return zeros
-
-
-def _polish_zero(params: ReservoirParams, t0: float, half_width: float = 0.01) -> float:
-    """Bisection refinement of a zero of chi inside [t0 - w, t0 + w]."""
-    lo = max(t0 - half_width, 0.0)
-    hi = t0 + half_width
-    f_lo = evaluate_chi(params, lo)
-    f_hi = evaluate_chi(params, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        # Formula value already accurate to working precision.
-        return t0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = evaluate_chi(params, mid)
-        if f_mid == 0.0 or hi - lo < 1e-15 * max(1.0, t0):
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    lam = params.lambda_ratio
+    d = math.sqrt(abs(2.0 * lam - lam * lam))
+    phase = math.atan2(d, lam)
+    return [2.0 * (n * math.pi - phase) / d for n in range(1, n_max + 1)]
 
 
 def solve_memory_kernel(params: ReservoirParams, t_grid: np.ndarray) -> np.ndarray:

@@ -100,10 +100,10 @@ class Axis:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
         if not self.max > self.min:
             raise ValueError(f"axis range is empty: [{self.min}, {self.max}]")
-        lo_ok = self.min > 0.0 if self.name == "lambda_ratio" else self.min >= 0.0
-        hi_ok = True if self.name == "lambda_ratio" else self.max <= 1.0
-        if not (lo_ok and hi_ok):
-            raise ValueError(f"axis {self.name} range [{self.min}, {self.max}] out of bounds")
+        # Each domain is an interval and the axis is linear, so its two
+        # endpoints stand for every value in between.
+        for end in (self.min, self.max):
+            _point(**{self.name: end})
 
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
@@ -126,7 +126,6 @@ class SweepConfig:
     r: float | None = None
     lambda_ratio: float | None = None
     measured: Qubit = Qubit.B
-    output: str | Path | None = None
 
     def __post_init__(self):
         if not self.families or any(not isinstance(f, Family) for f in self.families):
@@ -142,15 +141,9 @@ class SweepConfig:
         if fixed[self.axis.name] is not None:
             raise ValueError(f"{self.axis.name} is the swept axis and must not be fixed")
         for name, value in fixed.items():
-            if name == self.axis.name:
-                continue
-            if value is None:
+            if name != self.axis.name and value is None:
                 raise ValueError(f"{name} must be fixed when it is not the swept axis")
-            if name == "lambda_ratio":
-                if not value > 0.0:
-                    raise ValueError(f"lambda_ratio must be positive, got {value}")
-            elif not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _point(*self.point_params(self.axis.min))
 
     def point_params(self, axis_value: float) -> tuple[float, float, float]:
         """(alpha_sq, r, lambda_ratio) with the axis value substituted in."""
@@ -160,6 +153,13 @@ class SweepConfig:
 
     def time_grid(self) -> np.ndarray:
         return uniform_grid(self.t_max, self.steps)
+
+
+def _point(
+    alpha_sq: float = 0.0, r: float = 1.0, lambda_ratio: float = 1.0, family: Family = Family.PSI
+) -> tuple[StateFamily, ReservoirParams]:
+    """Initial state and reservoir of one sweep point, each checking its own domain."""
+    return StateFamily(family, alpha_sq, r), ReservoirParams(lambda_ratio=lambda_ratio)
 
 
 def uniform_grid(t_max: float, steps: int) -> np.ndarray:
@@ -410,7 +410,7 @@ def format_csv_rows(
     return [_CSV_ROW.format(t, *fixed, *rest) for t, *rest in traj.tolist()]
 
 
-def run_sweep(config: SweepConfig, output: str | Path | None = None) -> Path:
+def run_sweep(config: SweepConfig, output: str | Path) -> Path:
     """Evaluate the sweep and write it as CSV; returns the path written.
 
     One row per (family, axis point, time), ordered family-major, then
@@ -419,18 +419,13 @@ def run_sweep(config: SweepConfig, output: str | Path | None = None) -> Path:
     Points are mutually independent; they are evaluated and written in a
     fixed order regardless of how they might be scheduled.
     """
-    path = output if output is not None else config.output
-    if path is None:
-        raise ValueError("config has no output path and none was given")
-    path = Path(path)
-
+    path = Path(output)
     t_grid = config.time_grid()
     lines = [",".join(CSV_COLUMNS)]
     for family in config.families:
         for axis_value in config.axis.values():
             alpha_sq, r, lambda_ratio = config.point_params(axis_value)
-            scenario = StateFamily(family, alpha_sq, r)
-            params = ReservoirParams(lambda_ratio=lambda_ratio)
+            scenario, params = _point(alpha_sq, r, lambda_ratio, family)
             traj = evolve_trajectory(scenario, params, t_grid, config.measured)
             lines.extend(format_csv_rows(traj, alpha_sq, r, params))
     path.write_text("\n".join(lines) + "\n")

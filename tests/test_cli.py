@@ -62,8 +62,7 @@ def test_zeros_frozen_values():
     proc = run_cli("zeros", "--lambda-ratio", "0.1", "--count", "2")
     assert proc.returncode == 0
     got = [float(line) for line in proc.stdout.split()]
-    assert abs(got[0] - FIRST_ZERO) < 1e-9
-    assert abs(got[1] - SECOND_ZERO) < 1e-9
+    assert got == [FIRST_ZERO, SECOND_ZERO]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -90,8 +90,7 @@ def test_chi_bounded_by_one(lam):
 
 def test_zeros_frozen_oracle():
     zeros = chi_zeros(ReservoirParams(lambda_ratio=0.1), 2)
-    assert zeros[0] == pytest.approx(FIRST_ZERO, abs=1e-9)
-    assert zeros[1] == pytest.approx(SECOND_ZERO, abs=1e-9)
+    assert zeros == [FIRST_ZERO, SECOND_ZERO]
     params = ReservoirParams(lambda_ratio=0.1)
     for t in zeros:
         assert abs(evaluate_chi(params, t)) < 1e-9
@@ -112,6 +111,17 @@ def test_zeros_strictly_increasing():
     zeros = chi_zeros(ReservoirParams(lambda_ratio=0.5), 5)
     assert len(zeros) == 5
     assert all(b > a for a, b in zip(zeros, zeros[1:]))
+
+
+def test_zeros_bracket_sign_changes_where_chi_underflows_products():
+    # By the 27th zero at lambda_ratio = 1.9, |chi| is near 1e-165 on both
+    # sides, so a product of two chi values underflows to 0; comparing signs
+    # still sees the crossing within a relative 1e-7 of each returned time.
+    params = ReservoirParams(lambda_ratio=1.9)
+    for t in chi_zeros(params, 30):
+        before = evaluate_chi(params, t * (1.0 - 1e-7))
+        after = evaluate_chi(params, t * (1.0 + 1e-7))
+        assert np.sign(before) == -np.sign(after) != 0.0, t
 
 
 def test_sign_changes_exactly_at_zeros():

@@ -77,6 +77,9 @@ def test_axis_validation():
         Axis("alpha_sq", 0.0, 1.5, 5)
     with pytest.raises(ValueError):
         Axis("lambda_ratio", 0.0, 1.0, 5)  # zero width excluded
+    for wide in (math.inf, 1e200):  # beyond ReservoirParams' domain
+        with pytest.raises(ValueError):
+            Axis("lambda_ratio", 0.1, wide, 3)
     vals = Axis("r", 0.0, 1.0, 11).values()
     assert vals[0] == 0.0 and vals[-1] == 1.0 and len(vals) == 11
 
@@ -97,6 +100,9 @@ def test_sweep_config_validation():
         SweepConfig(
             (Family.PSI, Family.PSI), axis, 10.0, 11, r=1.0, lambda_ratio=0.1
         )
+    for wide in (math.inf, 1e200):  # beyond ReservoirParams' domain
+        with pytest.raises(ValueError):
+            SweepConfig((Family.PSI,), axis, 10.0, 11, r=1.0, lambda_ratio=wide)
     for t_max, steps in ((-1.0, 11), (0.0, 3), (math.inf, 3), (math.nan, 3), (10.0, 1)):
         with pytest.raises(ValueError):  # bad time grid
             SweepConfig((Family.PSI,), axis, t_max, steps, r=1.0, lambda_ratio=0.1)
@@ -611,12 +617,6 @@ def test_run_sweep_family_major_ordering(tmp_path):
     assert list(r_col[:9]) == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
     t_col = data[:, 0]
     assert list(t_col[:3]) == [0.0, 12.5, 25.0]
-
-
-def test_run_sweep_requires_output_path():
-    config = figure_preset("fig2")
-    with pytest.raises(ValueError):
-        run_sweep(config)
 
 
 def test_read_sweep_csv_rejects_wrong_header(tmp_path):
