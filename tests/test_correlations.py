@@ -25,6 +25,7 @@ from discordsim import (
     tensor,
     von_neumann_entropy,
 )
+from discordsim import correlations
 from discordsim.correlations import (
     _COMPASS,
     _MIN_IMPROVEMENT,
@@ -668,7 +669,8 @@ def _allocating_directions(thetas, phis):
 
 
 def _allocating_compass_oracle(stack, measured):
-    """classical_correlation_stack with every compass round on fresh arrays."""
+    """classical_correlation_stack with every compass round on fresh arrays, one
+    step size per start and round, stopping at the module's _STEP_TOL."""
     seeds = _GainEvaluator(stack, measured)
     n = seeds.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
@@ -683,7 +685,7 @@ def _allocating_compass_oracle(stack, measured):
     point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
     step = np.full(3 * n, 0.5)
-    while (live := np.flatnonzero(step >= _STEP_TOL)).size:
+    while (live := np.flatnonzero(step >= correlations._STEP_TOL)).size:
         for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
             c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
             trial = point[c, None, :] + step[c, None, None] * _COMPASS
@@ -715,8 +717,15 @@ def _classical_quantum_state(rng):
     measured=st.sampled_from([Qubit.A, Qubit.B]),
     seed=st.integers(0, 2**32 - 1),
 )
+# A round has one row per start and step size, up to _HALVINGS rows per start.
+# At n = 22 the 264 rows of the first round just cross one 256-row call; at
+# n = 30 a later call boundary falls between two rows of one start; from
+# n = 43 on a round spans three or more calls.
 @example(n=90, measured=Qubit.A, seed=0)
 @example(n=86, measured=Qubit.B, seed=1)
+@example(n=22, measured=Qubit.B, seed=0)
+@example(n=30, measured=Qubit.A, seed=0)
+@example(n=60, measured=Qubit.B, seed=2)
 def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed):
     # Rounds of up to 256 starts reuse one workspace; from 86 states on, the
     # 3n starts cross that chunk boundary, so a round also runs on a prefix
@@ -727,6 +736,21 @@ def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed)
     rng = np.random.default_rng(seed)
     kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
     stack = np.stack([kinds[kind](rng) for kind in rng.choice(sorted(kinds), n)])
+    got = classical_correlation_stack(stack, measured)
+    want = _allocating_compass_oracle(stack, measured)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("measured", [Qubit.A, Qubit.B])
+def test_coarse_stop_tolerance_matches_allocating_rounds(monkeypatch, rng, measured):
+    # At a stop tolerance of 1e-3 grid spacings most starts end unconverged,
+    # so their last rounds hold fewer than _HALVINGS step sizes and a smaller
+    # step that would still move.  A round that commits a step below the
+    # tolerance moves a start the one-step-per-round compass has stopped.
+    monkeypatch.setattr(correlations, "_STEP_TOL", 1e-3)
+    kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
+    stack = np.stack([kinds[kind](rng) for kind in sorted(kinds) for _ in range(8)])
     got = classical_correlation_stack(stack, measured)
     want = _allocating_compass_oracle(stack, measured)
     for a, b in zip(got, want):
