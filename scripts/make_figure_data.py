@@ -17,15 +17,13 @@ import dataclasses
 import time
 from pathlib import Path
 
-from discordsim import figure_preset, run_sweep
-
-PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
+from discordsim.sweep import PRESET_IDS, figure_preset, run_sweep
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("data"))
-    parser.add_argument("--only", nargs="+", choices=PRESETS, default=PRESETS)
+    parser.add_argument("--only", nargs="+", choices=PRESET_IDS, default=PRESET_IDS)
     parser.add_argument("--grid", type=int, help="override swept-axis point count")
     parser.add_argument("--steps", type=int, help="override time-sample count")
     args = parser.parse_args()

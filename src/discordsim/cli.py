@@ -26,11 +26,13 @@ import numpy as np
 
 from . import __version__
 from .reservoir import ReservoirParams, chi_zeros
-from .scenarios import Family, StateFamily, figure_preset
+from .scenarios import Family, StateFamily
 from .states import DensityMatrix, Qubit
 from .sweep import (
     CSV_COLUMNS,
+    PRESET_IDS,
     evolve_trajectory,
+    figure_preset,
     format_csv_rows,
     run_sweep,
     trajectory_from_state,
@@ -218,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--preset",
         required=True,
-        help="sweep name: fig1, fig2, fig3a, fig3b, fig4, or fig5",
+        choices=PRESET_IDS,
+        help="sweep name",
     )
     sweep.add_argument(
         "--output",
@@ -318,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -166,6 +166,13 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(mutual_information_stack(_stack_of_one(rho))[0])
 
 
+def _measures_b(measured: Qubit) -> bool:
+    """Whether the measured qubit is B rather than A; anything else is an error."""
+    if not isinstance(measured, Qubit):
+        raise TypeError("measured must be a Qubit")
+    return measured is Qubit.B
+
+
 class _GainEvaluator:
     """Information gain S(X) - S(X|{measurement on Y}) for a stack of states.
 
@@ -180,7 +187,7 @@ class _GainEvaluator:
     __slots__ = ("s_x", "kernel", "reduced")
 
     def __init__(self, stack: np.ndarray, measured: Qubit):
-        axes = (0, 2, 4, 1, 3) if measured is Qubit.B else (0, 1, 3, 2, 4)
+        axes = (0, 2, 4, 1, 3) if _measures_b(measured) else (0, 1, 3, 2, 4)
         self.kernel = stack.reshape(-1, 2, 2, 2, 2).transpose(axes).reshape(-1, 4, 4)
         self.reduced = self.kernel[:, :1] + self.kernel[:, 3:]  # (T, 1, 4)
         self.s_x = _entropy_bits(np.linalg.eigvalsh(self.reduced.reshape(-1, 2, 2)))
@@ -217,7 +224,7 @@ class _BlochEvaluator:
 
     def __init__(self, stack: np.ndarray, measured: Qubit):
         t = stack.reshape(-1, 2, 2, 2, 2)  # indices (state, a, b, a', b')
-        pauli, partial = ("ica,jdb->tij", "nabcb->nac") if measured is Qubit.B else ("jca,idb->tij", "nabad->nbd")
+        pauli, partial = ("ica,jdb->tij", "nabcb->nac") if _measures_b(measured) else ("jca,idb->tij", "nabad->nbd")
         c = np.einsum("tabcd," + pauli, t, _PAULI, _PAULI).real
         self.coef = np.concatenate([c, c * (1.0, -1.0, -1.0, -1.0)], axis=1)
         self.s_x = _entropy_bits(np.linalg.eigvalsh(np.einsum(partial, t)))

@@ -1,9 +1,8 @@
-"""Initial-state families and named parameter presets.
+"""Initial-state families.
 
 The simulator's initial conditions are Werner-like mixtures of one of two
 Bell-like pure states with the maximally mixed state; purity r interpolates
-between I/4 (r = 0) and the pure projector (r = 1).  ``figure_preset``
-bundles the parameter combinations used by the bundled figure-data script.
+between I/4 (r = 0) and the pure projector (r = 1).
 """
 
 import enum
@@ -14,7 +13,7 @@ import numpy as np
 
 from .states import DensityMatrix
 
-__all__ = ["Family", "StateFamily", "build_state", "figure_preset"]
+__all__ = ["Family", "StateFamily", "build_state"]
 
 
 class Family(enum.Enum):
@@ -68,77 +67,3 @@ def build_state(scenario: StateFamily) -> DensityMatrix:
     v = _pure_vector(scenario.family, scenario.alpha_sq)
     m = scenario.r * np.outer(v, v) + (1.0 - scenario.r) / 4.0 * np.eye(4)
     return DensityMatrix(m.astype(complex))
-
-
-# Named presets: (families, fixed params, swept axis, time window).
-# Axis and time resolutions default to 101 and 1001 points for smooth
-# surfaces at desk-scale runtime; the Markovian window is [0, 20], the
-# non-Markovian ones [0, 25], wide enough for every qualitative feature
-# (death, revivals, the first few zeros).
-_PRESET_IDS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
-
-
-def figure_preset(figure_id: str):
-    """A complete SweepConfig for one of the named figure datasets.
-
-    Known ids: fig1 (Markovian alpha_sq surface), fig2 (non-Markovian
-    alpha_sq surface), fig3a (three alpha_sq cuts), fig3b (three purity
-    cuts), fig4 (purity axis, both families), fig5 (reservoir-width axis).
-    """
-    from .sweep import Axis, SweepConfig
-
-    if figure_id == "fig1":
-        return SweepConfig(
-            families=(Family.PSI,),
-            axis=Axis("alpha_sq", 0.0, 1.0, 101),
-            t_max=20.0,
-            steps=1001,
-            r=1.0,
-            lambda_ratio=10.0,
-        )
-    if figure_id == "fig2":
-        return SweepConfig(
-            families=(Family.PSI,),
-            axis=Axis("alpha_sq", 0.0, 1.0, 101),
-            t_max=25.0,
-            steps=1001,
-            r=1.0,
-            lambda_ratio=0.1,
-        )
-    if figure_id == "fig3a":
-        return SweepConfig(
-            families=(Family.PSI,),
-            axis=Axis("alpha_sq", 0.25, 0.75, 3),
-            t_max=25.0,
-            steps=1001,
-            r=1.0,
-            lambda_ratio=0.1,
-        )
-    if figure_id == "fig3b":
-        return SweepConfig(
-            families=(Family.PSI,),
-            axis=Axis("r", 0.4, 1.0, 3),
-            t_max=25.0,
-            steps=1001,
-            alpha_sq=0.5,
-            lambda_ratio=0.1,
-        )
-    if figure_id == "fig4":
-        return SweepConfig(
-            families=(Family.PHI, Family.PSI),
-            axis=Axis("r", 0.0, 1.0, 101),
-            t_max=25.0,
-            steps=1001,
-            alpha_sq=0.5,
-            lambda_ratio=0.1,
-        )
-    if figure_id == "fig5":
-        return SweepConfig(
-            families=(Family.PSI,),
-            axis=Axis("lambda_ratio", 0.05, 1.0, 101),
-            t_max=25.0,
-            steps=1001,
-            alpha_sq=1.0 / 3.0,
-            r=1.0,
-        )
-    raise KeyError(f"unknown preset {figure_id!r}; known: {', '.join(_PRESET_IDS)}")

@@ -5,8 +5,9 @@ along a time grid for one initial state and one reservoir: its fields are
 columns (``traj.discord``) and its rows are records (``rec.t``).  On top of
 trajectories this module detects sudden death of entanglement (concurrence
 reaching zero and dwelling there), the isolated zeros of the discord, and
-the size of the discord revival after its first zero.  ``run_sweep`` materializes a 2-D (parameter x time) sweep
-as a CSV file with deterministic bytes.
+the size of the discord revival after its first zero.  ``run_sweep``
+materializes a 2-D (parameter x time) sweep as a CSV file with deterministic
+bytes, and ``figure_preset`` names the sweeps of the figure datasets.
 """
 
 import math
@@ -30,6 +31,8 @@ from .states import Qubit, evolve_stack, validate_states
 __all__ = [
     "Axis",
     "SweepConfig",
+    "PRESET_IDS",
+    "figure_preset",
     "uniform_grid",
     "EsdReport",
     "NoRevivalError",
@@ -153,6 +156,34 @@ class SweepConfig:
 
     def time_grid(self) -> np.ndarray:
         return uniform_grid(self.t_max, self.steps)
+
+
+# The figure datasets: id -> (families, axis (name, min, max, count), t_max,
+# the two fixed parameters), each sampled at 1001 times.  The Markovian
+# window is [0, 20], the non-Markovian ones [0, 25], wide enough for every
+# qualitative feature (death, revivals, the first few zeros).
+_PRESETS = {
+    "fig1": ((Family.PSI,), ("alpha_sq", 0.0, 1.0, 101), 20.0, {"r": 1.0, "lambda_ratio": 10.0}),
+    "fig2": ((Family.PSI,), ("alpha_sq", 0.0, 1.0, 101), 25.0, {"r": 1.0, "lambda_ratio": 0.1}),
+    "fig3a": ((Family.PSI,), ("alpha_sq", 0.25, 0.75, 3), 25.0, {"r": 1.0, "lambda_ratio": 0.1}),
+    "fig3b": ((Family.PSI,), ("r", 0.4, 1.0, 3), 25.0, {"alpha_sq": 0.5, "lambda_ratio": 0.1}),
+    "fig4": ((Family.PHI, Family.PSI), ("r", 0.0, 1.0, 101), 25.0, {"alpha_sq": 0.5, "lambda_ratio": 0.1}),
+    "fig5": ((Family.PSI,), ("lambda_ratio", 0.05, 1.0, 101), 25.0, {"alpha_sq": 1.0 / 3.0, "r": 1.0}),
+}
+PRESET_IDS = tuple(_PRESETS)
+
+
+def figure_preset(figure_id: str) -> SweepConfig:
+    """The SweepConfig of one of the named figure datasets.
+
+    fig1 (Markovian alpha_sq surface), fig2 (non-Markovian alpha_sq
+    surface), fig3a (three alpha_sq cuts), fig3b (three purity cuts), fig4
+    (purity axis, both families), fig5 (reservoir-width axis).
+    """
+    if figure_id not in _PRESETS:
+        raise KeyError(f"unknown preset {figure_id!r}; known: {', '.join(PRESET_IDS)}")
+    families, axis, t_max, fixed = _PRESETS[figure_id]
+    return SweepConfig(families, Axis(*axis), t_max, 1001, **fixed)
 
 
 def _point(

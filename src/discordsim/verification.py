@@ -29,7 +29,7 @@ from .correlations import (
     von_neumann_entropy,
 )
 from .reservoir import NoZerosError, ReservoirParams, chi_zeros, evaluate_chi, solve_memory_kernel
-from .scenarios import Family, StateFamily, build_state, figure_preset
+from .scenarios import Family, StateFamily, build_state
 from .states import (
     DensityMatrix,
     Qubit,
@@ -40,7 +40,7 @@ from .states import (
     tensor,
     two_qubit_evolve,
 )
-from .sweep import Axis, detect_discord_zeros, detect_esd, evolve_trajectory, revival_amplitude, run_sweep
+from .sweep import detect_discord_zeros, detect_esd, evolve_trajectory, figure_preset, revival_amplitude, run_sweep
 
 __all__ = ["CheckResult", "run_verification", "format_report", "QUICK_CHECKS", "ACCEPTANCE_CHECKS"]
 
@@ -104,11 +104,7 @@ def check_zero_formula() -> CheckResult:
 
 
 def check_kernel_quick() -> CheckResult:
-    p = ReservoirParams(lambda_ratio=0.5)
-    t = np.linspace(0.0, 10.0, 10001)
-    sol = solve_memory_kernel(p, t)
-    exact = np.array([evaluate_chi(p, ti) for ti in t])
-    err = float(np.max(np.abs(sol - exact)))
+    err = _kernel_sup_err((0.5,), np.linspace(0.0, 10.0, 10001))
     return CheckResult("kernel-quick", err < 1e-5, f"sup err {err:.2e}")
 
 
@@ -144,26 +140,12 @@ def check_entropy_basics() -> CheckResult:
 
 
 def check_channel_quick() -> CheckResult:
-    rng = np.random.default_rng(_SEED + 1)
-    worst = 0.0
-    for _ in range(20):
-        rho = _random_state(rng, 4)
-        chi_a = rng.uniform(-1, 1)
-        chi_b = rng.uniform(-1, 1)
-        out = two_qubit_evolve(rho, chi_a, chi_b)
-        worst = max(worst, abs(np.trace(out.mat).real - 1.0))
-        red_a = single_qubit_evolve(partial_trace(rho, Qubit.A), chi_a)
-        worst = max(worst, float(np.max(np.abs(partial_trace(out, Qubit.A).mat - red_a.mat))))
+    worst = _channel_violation(np.random.default_rng(_SEED + 1), 20)
     return CheckResult("channel-quick", worst < 1e-12, f"worst err {worst:.2e}")
 
 
 def check_pure_discord_quick() -> CheckResult:
-    rng = np.random.default_rng(_SEED + 2)
-    worst = 0.0
-    for _ in range(5):
-        psi = _random_pure(rng)
-        gap = abs(quantum_discord(psi) - von_neumann_entropy(partial_trace(psi, Qubit.B)))
-        worst = max(worst, gap)
+    worst = _pure_discord_gap(np.random.default_rng(_SEED + 2), 5)
     return CheckResult("pure-discord-quick", worst < 1e-6, f"worst |D - S(A)| {worst:.2e}")
 
 
@@ -195,15 +177,20 @@ def check_classical_state() -> CheckResult:
 # ----------------------------------------------------------- acceptance tier
 
 
-def criterion_1_kernel_oracle() -> CheckResult:
-    """Closed-form amplitude vs the memory-kernel integro-differential solve."""
+def _kernel_sup_err(lambda_ratios, t: np.ndarray) -> float:
+    """Largest gap between the memory-kernel solve and the closed-form amplitude."""
     worst = 0.0
-    for lam in (0.05, 0.1, 0.5, 2.0, 10.0):
+    for lam in lambda_ratios:
         p = ReservoirParams(lambda_ratio=lam)
-        t = np.linspace(0.0, 25.0, 250001)
         sol = solve_memory_kernel(p, t)
         exact = np.array([evaluate_chi(p, ti) for ti in t])
         worst = max(worst, float(np.max(np.abs(sol - exact))))
+    return worst
+
+
+def criterion_1_kernel_oracle() -> CheckResult:
+    """Closed-form amplitude vs the memory-kernel integro-differential solve."""
+    worst = _kernel_sup_err((0.05, 0.1, 0.5, 2.0, 10.0), np.linspace(0.0, 25.0, 250001))
     return CheckResult("kernel-oracle-equivalence", worst <= 1e-6, f"sup err {worst:.2e} (tol 1e-6)")
 
 
@@ -296,14 +283,20 @@ def criterion_6_optimizer_soundness() -> CheckResult:
     )
 
 
+def _pure_discord_gap(rng: np.random.Generator, count: int) -> float:
+    """Largest |D - S| over ``count`` random pure states, S the entropy of B's marginal."""
+    worst = 0.0
+    for _ in range(count):
+        psi = _random_pure(rng)
+        gap = abs(quantum_discord(psi) - von_neumann_entropy(partial_trace(psi, Qubit.B)))
+        worst = max(worst, gap)
+    return worst
+
+
 def criterion_7_pure_state_identity() -> CheckResult:
     """Pure-state discord equals the entanglement entropy; diagonal states have none."""
     rng = np.random.default_rng(_SEED + 7)
-    worst_pure = 0.0
-    for _ in range(100):
-        psi = _random_pure(rng)
-        gap = abs(quantum_discord(psi) - von_neumann_entropy(partial_trace(psi, Qubit.B)))
-        worst_pure = max(worst_pure, gap)
+    worst_pure = _pure_discord_gap(rng, 100)
     worst_diag = 0.0
     for _ in range(100):
         probs = rng.dirichlet(np.ones(4))
@@ -315,11 +308,10 @@ def criterion_7_pure_state_identity() -> CheckResult:
     )
 
 
-def criterion_8_channel_laws() -> CheckResult:
-    """Trace, completeness, positivity, and locality of the decay channel."""
-    rng = np.random.default_rng(_SEED + 8)
+def _channel_violation(rng: np.random.Generator, count: int) -> float:
+    """Worst violation of the channel laws over ``count`` random states and amplitudes."""
     worst = 0.0
-    for _ in range(1000):
+    for _ in range(count):
         rho = _random_state(rng, 4)
         chi_a = rng.uniform(-1, 1)
         chi_b = rng.uniform(-1, 1)
@@ -334,6 +326,12 @@ def criterion_8_channel_laws() -> CheckResult:
         red_b = single_qubit_evolve(partial_trace(rho, Qubit.B), chi_b)
         worst = max(worst, float(np.max(np.abs(partial_trace(out, Qubit.A).mat - red_a.mat))))
         worst = max(worst, float(np.max(np.abs(partial_trace(out, Qubit.B).mat - red_b.mat))))
+    return worst
+
+
+def criterion_8_channel_laws() -> CheckResult:
+    """Trace, completeness, positivity, and locality of the decay channel."""
+    worst = _channel_violation(np.random.default_rng(_SEED + 8), 1000)
     return CheckResult("channel-laws", worst < 1e-12, f"worst violation {worst:.2e}")
 
 

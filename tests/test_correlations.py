@@ -228,6 +228,21 @@ def test_classical_correlation_asymmetric_state(rng):
         assert refined >= grid - 1e-9
 
 
+@pytest.mark.parametrize("measured", ["B", "A", 1, None])
+def test_measured_must_be_a_qubit(rng, measured):
+    # A label or an index is not a Qubit; it must not silently mean qubit A.
+    rho = random_density(rng, 4)
+    calls = (
+        lambda: classical_correlation(rho, measured),
+        lambda: quantum_discord(rho, measured),
+        lambda: conditional_entropy(rho, MeasurementBasis(0.3, 0.1), measured),
+        lambda: brute_force_classical_correlation(rho, 16, measured),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="measured must be a Qubit"):
+            call()
+
+
 def test_optimizer_returns_consistent_local_maximum(rng):
     # The returned value is the gain at the returned basis, and no nearby
     # basis does better, so the argmax angles mean something.
@@ -727,9 +742,10 @@ def _classical_quantum_state(rng):
 @example(n=30, measured=Qubit.A, seed=0)
 @example(n=60, measured=Qubit.B, seed=2)
 def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed):
-    # Rounds of up to 256 starts reuse one workspace; from 86 states on, the
-    # 3n starts cross that chunk boundary, so a round also runs on a prefix
-    # of the buffers.  The in-place arithmetic must repeat the allocating
+    # A round holds up to 4 rows per start, one per step size, in calls of
+    # up to 256 rows that reuse one workspace; from 22 states on, a round
+    # first crosses a 256-row call, so a call also runs on a prefix of the
+    # buffers.  The in-place arithmetic must repeat the allocating
     # one bit for bit.  Classical-quantum states leave pure conditional
     # states near their optimum, whose eigenvalues below _ZERO_EIG the masked
     # log2 must count as 0 log 0 = 0 whatever an earlier round left there.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from discordsim import Family, StateFamily, build_state, figure_preset
+from discordsim.sweep import PRESET_IDS
 
 
 def test_family_validation():
@@ -118,9 +119,11 @@ def test_preset_fig5_memory_axis():
 
 
 def test_preset_default_resolution():
-    for fid in ("fig1", "fig2", "fig4", "fig5"):
+    # Every preset samples 1001 times; the fig3 cuts have three axis points.
+    assert PRESET_IDS == ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5")
+    for fid in PRESET_IDS:
         config = figure_preset(fid)
-        assert config.axis.count == 101
+        assert config.axis.count == (3 if fid in ("fig3a", "fig3b") else 101)
         assert config.steps == 1001
 
 

@@ -187,6 +187,14 @@ def test_trajectory_vanishes_at_first_amplitude_zero():
     assert rec.mutual_info < 1e-6
 
 
+@pytest.mark.parametrize("measured", ["B", "A", 1, None])
+def test_evolve_trajectory_rejects_non_qubit_measured(measured):
+    scenario = StateFamily(Family.PSI, 0.3, 0.8)
+    params = ReservoirParams(lambda_ratio=0.1)
+    with pytest.raises(TypeError, match="measured must be a Qubit"):
+        evolve_trajectory(scenario, params, np.linspace(0.0, 1.0, 3), measured)
+
+
 def test_trajectory_from_raw_state_matches_family_path():
     scenario = StateFamily(Family.PHI, 0.4, 0.9)
     params = ReservoirParams(lambda_ratio=0.5)
