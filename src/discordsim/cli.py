@@ -69,14 +69,10 @@ def _write_lines(lines: list[str], output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _qubit(label: str) -> Qubit:
-    return Qubit.A if label == "A" else Qubit.B
-
-
 def _cmd_evolve(args: argparse.Namespace) -> int:
     params = ReservoirParams(lambda_ratio=args.lambda_ratio)
     t_grid = uniform_grid(args.tmax, args.steps)
-    measured = _qubit(args.measure)
+    measured = Qubit(args.measure)
     if args.raw_state is not None:
         rho0 = load_raw_state(Path(args.raw_state).read_text())
         traj = trajectory_from_state(rho0, params, t_grid, measured)
@@ -103,7 +99,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.tmax is not None:
         replacements["t_max"] = args.tmax
     if args.measure is not None:
-        replacements["measured"] = _qubit(args.measure)
+        replacements["measured"] = Qubit(args.measure)
     if replacements:
         config = dataclasses.replace(config, **replacements)
     path = run_sweep(config, args.output)

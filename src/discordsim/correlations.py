@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .states import DensityMatrix, Qubit
+from .states import DensityMatrix, Qubit, reduced_states, require_qubit
 
 __all__ = [
     "MeasurementBasis",
@@ -152,9 +152,8 @@ def mutual_information_stack(stack: np.ndarray) -> np.ndarray:
     Subadditivity makes the true value nonnegative; round-off undershoot
     within -1e-10 is clamped to 0.
     """
-    t = stack.reshape(-1, 2, 2, 2, 2)  # indices (state, a, b, a', b')
-    s_a = _entropy_bits(np.linalg.eigvalsh(np.einsum("nabcb->nac", t)))
-    s_b = _entropy_bits(np.linalg.eigvalsh(np.einsum("nabad->nbd", t)))
+    s_a = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, Qubit.A)))
+    s_b = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, Qubit.B)))
     mi = s_a + s_b - _entropy_bits(np.linalg.eigvalsh(stack))
     if mi.min() < -1e-10:
         raise ValueError(f"mutual information {mi.min()} below round-off floor")
@@ -166,31 +165,46 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(mutual_information_stack(_stack_of_one(rho))[0])
 
 
-def _measures_b(measured: Qubit) -> bool:
-    """Whether the measured qubit is B rather than A; anything else is an error."""
-    if not isinstance(measured, Qubit):
-        raise TypeError("measured must be a Qubit")
-    return measured is Qubit.B
+# I, sigma_x, sigma_y, sigma_z written on the basis order {|1>, |0>}, so the
+# projector onto cos(theta)|1> + e^{i phi} sin(theta)|0> is (I + n.sigma)/2
+# with n as in _fill_directions.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class _GainEvaluator:
-    """Information gain S(X) - S(X|{measurement on Y}) for a stack of states.
+    """Information gain S(X) - S(X|{measurement on Y}) for a stack of states,
+    in two kernels: projector rows for the seeds and the oracles (``__call__``),
+    Bloch direction rows for the compass (``gains``).
 
     For the projector |v><v| on Y, v = (cos theta, e^{i phi} sin theta), the
     unnormalized conditional state of X is linear in the entries
     (cos^2, cos sin e^{i phi}, its conjugate, sin^2) of conj(v) v^T, so k
     angle pairs for one state cost one (k, 4) @ (4, 4) product with the
-    state regrouped as (Y row, Y column) x (X row, X column).  The second
-    outcome's block is the reduced state of X minus the first.
+    state regrouped as (Y row, Y column) x (X row, X column) in ``kernel``.
+    The second outcome's block is the reduced state of X minus the first.
+
+    With c[t, i, j] = Tr(rho_t sigma_i (x) sigma_j), sigma_i on X, sigma_j on
+    Y and sigma_0 = I, the outcome (I + n.sigma)/2 on Y leaves X in the
+    unnormalized state (m0 I + m.sigma)/4 with (m0, m) = c @ (1, n): trace
+    m0/2, eigenvalues (m0 +- |m|)/4.  The other outcome is direction -n, so
+    ``coef`` stacks c over c with its n columns negated and one
+    (8, 4) @ (4, k) product gives both outcomes.  Luo, PRA 77, 042303 (2008);
+    Girolami & Adesso, PRA 83, 052108 (2011).
     """
 
-    __slots__ = ("s_x", "kernel", "reduced")
+    __slots__ = ("s_x", "kernel", "reduced", "coef")
 
     def __init__(self, stack: np.ndarray, measured: Qubit):
-        axes = (0, 2, 4, 1, 3) if _measures_b(measured) else (0, 1, 3, 2, 4)
-        self.kernel = stack.reshape(-1, 2, 2, 2, 2).transpose(axes).reshape(-1, 4, 4)
-        self.reduced = self.kernel[:, :1] + self.kernel[:, 3:]  # (T, 1, 4)
-        self.s_x = _entropy_bits(np.linalg.eigvalsh(self.reduced.reshape(-1, 2, 2)))
+        measures_b = require_qubit(measured, "measured") is Qubit.B
+        t = stack.reshape(-1, 2, 2, 2, 2)  # indices (state, a, b, a', b')
+        self.kernel = t.transpose((0, 2, 4, 1, 3) if measures_b else (0, 1, 3, 2, 4)).reshape(-1, 4, 4)
+        x = reduced_states(stack, Qubit.A if measures_b else Qubit.B)
+        self.reduced = x.reshape(-1, 1, 4)
+        self.s_x = _entropy_bits(np.linalg.eigvalsh(x))
+        c = np.einsum("tabcd,ica,jdb->tij", t, _PAULI, _PAULI).real  # sigma_i on A, sigma_j on B
+        if not measures_b:
+            c = c.swapaxes(1, 2)
+        self.coef = np.concatenate([c, c * (1.0, -1.0, -1.0, -1.0)], axis=1)
 
     def __call__(self, states: np.ndarray | list[int], rows: np.ndarray) -> np.ndarray:
         """Gains (n, k) of the states with indices ``states`` for their projector rows (n, k, 4)."""
@@ -200,42 +214,10 @@ class _GainEvaluator:
         np.subtract(self.reduced.take(states, axis=0), blocks, out=blocks)  # second outcome
         return gain - _weighted_entropy(blocks)
 
-
-# I, sigma_x, sigma_y, sigma_z written on the basis order {|1>, |0>}, so the
-# projector onto cos(theta)|1> + e^{i phi} sin(theta)|0> is (I + n.sigma)/2
-# with n as in _fill_directions.
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-class _BlochEvaluator:
-    """The same gains as _GainEvaluator from the real Pauli coefficients of each
-    state, for direction rows instead of projector rows.
-
-    With c[t, i, j] = Tr(rho_t sigma_i (x) sigma_j), sigma_i on the unmeasured
-    qubit X, sigma_j on the measured qubit Y and sigma_0 = I, the outcome
-    (I + n.sigma)/2 on Y leaves X in the unnormalized state (m0 I + m.sigma)/4
-    with (m0, m) = c @ (1, n): trace m0/2, eigenvalues (m0 +- |m|)/4.  The
-    other outcome is direction -n, so ``coef`` stacks c over c with its n
-    columns negated and one (8, 4) @ (4, k) product gives both outcomes.
-    Luo, PRA 77, 042303 (2008); Girolami & Adesso, PRA 83, 052108 (2011).
-    """
-
-    __slots__ = ("s_x", "coef")
-
-    def __init__(self, stack: np.ndarray, measured: Qubit):
-        t = stack.reshape(-1, 2, 2, 2, 2)  # indices (state, a, b, a', b')
-        pauli, partial = ("ica,jdb->tij", "nabcb->nac") if _measures_b(measured) else ("jca,idb->tij", "nabad->nbd")
-        c = np.einsum("tabcd," + pauli, t, _PAULI, _PAULI).real
-        self.coef = np.concatenate([c, c * (1.0, -1.0, -1.0, -1.0)], axis=1)
-        self.s_x = _entropy_bits(np.linalg.eigvalsh(np.einsum(partial, t)))
-
-    def __call__(self, states: np.ndarray | list[int], dirs: np.ndarray) -> np.ndarray:
-        """Gains (n, k) of the states with indices ``states`` for their direction rows (n, 4, k)."""
-        return self.gains(states, dirs, _BlochWork(len(states), dirs.shape[-1]).at(len(states)))
-
     def gains(self, states: np.ndarray | list[int], dirs: np.ndarray, w: SimpleNamespace) -> np.ndarray:
-        """``__call__`` computed in the buffers ``w`` of a _BlochWork, which hold the
-        result (``w.gain``) until their next use."""
+        """Gains (n, k) of the states with indices ``states`` for their direction
+        rows (n, 4, k), computed in the buffers ``w`` of a _BlochWork, which hold
+        the result (``w.gain``) until their next use."""
         np.take(self.coef, states, axis=0, out=w.coef, mode="clip")  # "raise" would copy
         np.matmul(w.coef, dirs, out=w.m)
         np.square(w.m_vec, out=w.sq)
@@ -319,13 +301,6 @@ def _fill_directions(thetas: np.ndarray, phis: np.ndarray, w: SimpleNamespace) -
     np.cos(double, out=n_z)
 
 
-def _directions(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Direction rows (k, 4, d) of angle arrays (k, d), as `_fill_directions` writes them."""
-    w = _BlochWork(*thetas.shape).at(thetas.shape[0])
-    _fill_directions(thetas, phis, w)
-    return w.dirs
-
-
 def _projector_rows(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Rows (cos^2, cos sin e^{i phi}, conjugate, sin^2) for angle arrays of any real values."""
     ct, st = np.cos(thetas), np.sin(thetas)
@@ -404,15 +379,14 @@ def classical_correlation_stack(
     every round advances the unfinished starts of all states together, each
     by up to _HALVINGS step sizes.
     """
-    seeds = _GainEvaluator(stack, measured)
-    n = seeds.s_x.size
+    ev = _GainEvaluator(stack, measured)
+    n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = seeds([i], _SEED_ROWS)[0]
+        gain = ev([i], _SEED_ROWS)[0]
         top = np.argpartition(gain, -3)[-3:]
         order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]
-    ev = _BlochEvaluator(stack, measured)
     chunk = _PAIRS_PER_CALL // len(_COMPASS)
     work = _BlochWork(min(3 * n * _HALVINGS, chunk), len(_COMPASS))
     thetas, phis = _angle_axes(_SEED_GRID_N)

@@ -171,13 +171,24 @@ def tensor(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.kron(rho_a.mat, rho_b.mat))
 
 
+def require_qubit(value, role: str) -> Qubit:
+    """``value`` itself if it is a Qubit; a label or an index is an error, never a default."""
+    if not isinstance(value, Qubit):
+        raise TypeError(f"{role} must be a Qubit")
+    return value
+
+
+# Trace over the other qubit, for each kept qubit, on indices (state, a, b, a', b').
+_TRACE_OUT = {Qubit.A: "nabcb->nac", Qubit.B: "nabad->nbd"}
+
+
+def reduced_states(stack: np.ndarray, keep: Qubit) -> np.ndarray:
+    """Reduced states (T, 2, 2) of qubit ``keep`` for a stack (T, 4, 4) of states."""
+    return np.einsum(_TRACE_OUT[require_qubit(keep, "keep")], stack.reshape(-1, 2, 2, 2, 2))
+
+
 def partial_trace(rho: DensityMatrix, keep: Qubit) -> DensityMatrix:
     """Reduced state of one qubit of a 4x4 state."""
     if rho.dim != 4:
         raise ValueError("partial_trace expects a 4x4 state")
-    t = rho.mat.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
-    if keep is Qubit.A:
-        out = np.einsum("abcb->ac", t)
-    else:
-        out = np.einsum("abad->bd", t)
-    return DensityMatrix(out)
+    return DensityMatrix(reduced_states(rho.mat, keep)[0])

@@ -26,7 +26,7 @@ from .correlations import (
 )
 from .reservoir import ReservoirParams, evaluate_chi
 from .scenarios import Family, StateFamily, build_state
-from .states import Qubit, evolve_stack, validate_states
+from .states import Qubit, evolve_stack, require_qubit, validate_states
 
 __all__ = [
     "Axis",
@@ -138,8 +138,7 @@ class SweepConfig:
         if not isinstance(self.axis, Axis):
             raise TypeError("axis must be an Axis")
         uniform_grid(self.t_max, self.steps)
-        if not isinstance(self.measured, Qubit):
-            raise TypeError("measured must be a Qubit")
+        require_qubit(self.measured, "measured")
         fixed = {"alpha_sq": self.alpha_sq, "r": self.r, "lambda_ratio": self.lambda_ratio}
         if fixed[self.axis.name] is not None:
             raise ValueError(f"{self.axis.name} is the swept axis and must not be fixed")

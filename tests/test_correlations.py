@@ -34,9 +34,9 @@ from discordsim.correlations import (
     _SEED_ROWS,
     _STEP_TOL,
     _ZERO_EIG,
-    _BlochEvaluator,
+    _BlochWork,
     _GainEvaluator,
-    _directions,
+    _fill_directions,
     _grid_rows,
     _projector_rows,
     canonical_angles,
@@ -642,19 +642,19 @@ def test_property_bloch_gains_match_projector_rows(kinds, measured, seed):
     thetas = rng.uniform(-7.0, 7.0, (len(kinds), 64))
     phis = rng.uniform(-10.0, 10.0, (len(kinds), 64))
     states = np.arange(len(kinds))
-    bloch = _BlochEvaluator(stack, measured)
-    rows = _GainEvaluator(stack, measured)
-    assert np.max(np.abs(bloch.s_x - rows.s_x)) <= 1e-14
-    got = bloch(states, _directions(thetas, phis))
-    assert np.max(np.abs(got - rows(states, _projector_rows(thetas, phis)))) <= 1e-14
+    ev = _GainEvaluator(stack, measured)
+    w, mirror = (_BlochWork(len(kinds), 64).at(len(kinds)) for _ in range(2))
+    _fill_directions(thetas, phis, w)
+    got = ev.gains(states, w.dirs, w).copy()
+    assert np.max(np.abs(got - ev(states, _projector_rows(thetas, phis)))) <= 1e-14
     # The mirror (pi/2 - theta, phi + pi) is the direction -n.
-    mirror = _directions(0.5 * math.pi - thetas, phis + math.pi)
-    assert np.max(np.abs(mirror[:, 1:] + _directions(thetas, phis)[:, 1:])) <= 1e-14
-    assert np.max(np.abs(bloch(states, mirror) - got)) <= 1e-14
+    _fill_directions(0.5 * math.pi - thetas, phis + math.pi, mirror)
+    assert np.max(np.abs(mirror.dirs[:, 1:] + w.dirs[:, 1:])) <= 1e-14
+    assert np.max(np.abs(ev.gains(states, mirror.dirs, mirror) - got)) <= 1e-14
 
 
 def _allocating_bloch_gains(ev, states, dirs):
-    """_BlochEvaluator gains with fresh arrays for every intermediate."""
+    """_GainEvaluator.gains with fresh arrays for every intermediate."""
     m = ev.coef.take(states, axis=0) @ dirs
     m = m.reshape(m.shape[0], 2, 4, m.shape[-1])
     sq = np.square(m[:, :, 1:])
@@ -686,15 +686,14 @@ def _allocating_directions(thetas, phis):
 def _allocating_compass_oracle(stack, measured):
     """classical_correlation_stack with every compass round on fresh arrays, one
     step size per start and round, stopping at the module's _STEP_TOL."""
-    seeds = _GainEvaluator(stack, measured)
-    n = seeds.s_x.size
+    ev = _GainEvaluator(stack, measured)
+    n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = seeds([i], _SEED_ROWS)[0]
+        gain = ev([i], _SEED_ROWS)[0]
         top = np.argpartition(gain, -3)[-3:]
         order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]
-    ev = _BlochEvaluator(stack, measured)
     thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
     phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
     point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
@@ -724,6 +723,29 @@ def _classical_quantum_state(rng):
         w * np.kron(np.outer(u[:, i], u[:, i].conj()), random_pure(rng, 2).mat)
         for i, w in enumerate((p, 1.0 - p))
     )
+
+
+# SWAP on the basis {|11>, |10>, |01>, |00>}: |ab> -> |ba>.
+_SWAP = [0, 2, 1, 3]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["full", "x", "product", "classical-quantum"]), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
+    # The measured qubit is one convention for every measure: measuring A of
+    # rho is measuring B of SWAP rho SWAP, and the symmetric measures do not
+    # see the swap.
+    rng = np.random.default_rng(seed)
+    make = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
+    stack = np.stack([make[kind](rng) for kind in kinds])
+    swapped = stack[:, _SWAP][:, :, _SWAP]
+    j_a = classical_correlation_stack(stack, Qubit.A)[0]
+    assert np.max(np.abs(j_a - classical_correlation_stack(swapped, Qubit.B)[0])) <= 1e-12
+    assert np.max(np.abs(mutual_information_stack(stack) - mutual_information_stack(swapped))) <= 1e-12
+    assert np.max(np.abs(concurrence_stack(stack) - concurrence_stack(swapped))) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -781,9 +803,3 @@ def test_results_do_not_alias_the_compass_workspace(rng):
     classical_correlation_stack(other, Qubit.A)
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)
-    ev = _BlochEvaluator(stack, Qubit.B)
-    states = np.arange(4)
-    gain = ev(states, _directions(rng.uniform(0, 1, (4, 8)), rng.uniform(0, 6, (4, 8))))
-    kept = gain.copy()
-    ev(states, _directions(rng.uniform(0, 1, (4, 8)), rng.uniform(0, 6, (4, 8))))
-    assert np.array_equal(gain, kept)

@@ -201,6 +201,14 @@ def test_partial_trace_of_basis_state():
     assert np.allclose(partial_trace(joint, Qubit.B).mat, GROUND.mat)
 
 
+@pytest.mark.parametrize("keep", ["A", "B", 1, None])
+def test_partial_trace_keep_must_be_a_qubit(keep):
+    # A label or an index is not a Qubit; it must not silently mean qubit B.
+    rho = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
+    with pytest.raises(TypeError, match="keep must be a Qubit"):
+        partial_trace(rho, keep)
+
+
 def test_partial_trace_of_bell_state_is_mixed():
     bell = pure_state([0.0, 2**-0.5, 2**-0.5, 0.0])
     for keep in (Qubit.A, Qubit.B):
