@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .states import DensityMatrix, Qubit, reduced_states, require_qubit
+from .states import DensityMatrix, Qubit, is_x_stack, reduced_states, require_qubit, spectra
 
 __all__ = [
     "MeasurementBasis",
@@ -137,7 +137,7 @@ def _entropy_bits(eigs: np.ndarray) -> np.ndarray:  # spectra along the last axi
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -Tr(rho log2 rho) in bits, in [0, log2 dim]."""
-    return float(_entropy_bits(np.linalg.eigvalsh(rho.mat)))
+    return float(_entropy_bits(spectra(rho.mat)))
 
 
 def _stack_of_one(rho: DensityMatrix) -> np.ndarray:
@@ -152,9 +152,9 @@ def mutual_information_stack(stack: np.ndarray) -> np.ndarray:
     Subadditivity makes the true value nonnegative; round-off undershoot
     within -1e-10 is clamped to 0.
     """
-    s_a = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, Qubit.A)))
-    s_b = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, Qubit.B)))
-    mi = s_a + s_b - _entropy_bits(np.linalg.eigvalsh(stack))
+    s_a = _entropy_bits(spectra(reduced_states(stack, Qubit.A)))
+    s_b = _entropy_bits(spectra(reduced_states(stack, Qubit.B)))
+    mi = s_a + s_b - _entropy_bits(spectra(stack))
     if mi.min() < -1e-10:
         raise ValueError(f"mutual information {mi.min()} below round-off floor")
     return np.maximum(0.0, mi)
@@ -173,8 +173,8 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 
 class _GainEvaluator:
     """Information gain S(X) - S(X|{measurement on Y}) for a stack of states,
-    in two kernels: projector rows for the seeds and the oracles (``__call__``),
-    Bloch direction rows for the compass (``gains``).
+    in two kernels: projector rows for the oracles (``__call__``), Bloch
+    direction rows for the seeds and the compass (``gains``).
 
     For the projector |v><v| on Y, v = (cos theta, e^{i phi} sin theta), the
     unnormalized conditional state of X is linear in the entries
@@ -200,7 +200,7 @@ class _GainEvaluator:
         self.kernel = t.transpose((0, 2, 4, 1, 3) if measures_b else (0, 1, 3, 2, 4)).reshape(-1, 4, 4)
         x = reduced_states(stack, Qubit.A if measures_b else Qubit.B)
         self.reduced = x.reshape(-1, 1, 4)
-        self.s_x = _entropy_bits(np.linalg.eigvalsh(x))
+        self.s_x = _entropy_bits(spectra(x))
         c = np.einsum("tabcd,ica,jdb->tij", t, _PAULI, _PAULI).real  # sigma_i on A, sigma_j on B
         if not measures_b:
             c = c.swapaxes(1, 2)
@@ -216,8 +216,8 @@ class _GainEvaluator:
 
     def gains(self, states: np.ndarray | list[int], dirs: np.ndarray, w: SimpleNamespace) -> np.ndarray:
         """Gains (n, k) of the states with indices ``states`` for their direction
-        rows (n, 4, k), computed in the buffers ``w`` of a _BlochWork, which hold
-        the result (``w.gain``) until their next use."""
+        rows (n, 4, k), or for rows (4, k) shared by all, computed in the buffers
+        ``w`` of a _BlochWork, which hold the result (``w.gain``) until their next use."""
         np.take(self.coef, states, axis=0, out=w.coef, mode="clip")  # "raise" would copy
         np.matmul(w.coef, dirs, out=w.m)
         np.square(w.m_vec, out=w.sq)
@@ -244,12 +244,12 @@ class _GainEvaluator:
 
 class _BlochWork:
     """Buffers for the Bloch gains of up to ``size`` rows of ``d`` directions
-    each, allocated once and reused by every compass round; a row is one
-    start's trials at one step size.
+    each (``slots`` in all), allocated once and reused by the seeds and every
+    compass round; a compass row is one start's trials at one step size.
 
-    ``at(k)`` views the first k rows' share of each buffer shaped as a fresh
+    ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
-    allocating ones bit for bit.  ``dirs`` has its row 0 preset to 1.
+    allocating ones bit for bit.  ``dirs`` has its row 0 preset to 1 at ``d``.
     """
 
     # Floats per row and direction; ``keep`` is the boolean mask of ``terms``.
@@ -257,20 +257,20 @@ class _BlochWork:
               "sq": 6, "half_r": 2, "terms": 6, "logs": 6, "entropy": 2, "gain": 1}
 
     def __init__(self, size: int, d: int):
-        self.d = d
+        self.d, self.slots = d, size * d
         self.flat = {name: np.empty(size * d * n) for name, n in self._SIZES.items()}
         self.flat |= {"coef": np.empty(size * 32), "s_x": np.empty(size), "keep": np.empty(size * d * 6, bool)}
         self.flat["dirs"].reshape(size, 4, d)[:, 0] = 1.0
         self.views = {}
 
-    def at(self, k: int) -> SimpleNamespace:
-        if (w := self.views.get(k)) is None:
-            d = self.d
+    def at(self, k: int, d: int | None = None) -> SimpleNamespace:
+        d = d or self.d
+        if (w := self.views.get((k, d))) is None:
 
             def view(name, *shape):
                 return self.flat[name][: math.prod(shape)].reshape(shape)
 
-            w = self.views[k] = SimpleNamespace(
+            w = self.views[k, d] = SimpleNamespace(
                 trial=view("trial", k, d, 2), double=view("double", k, d), s2=view("s2", k, d),
                 trig=view("trig", k, d), dirs=view("dirs", k, 4, d), coef=view("coef", k, 8, 4),
                 m=view("m", k, 8, d), half_r=view("half_r", k, 2, d), terms=view("terms", 3, k, 2, d),
@@ -313,13 +313,8 @@ def _weighted_entropy(blocks: np.ndarray) -> np.ndarray:
 
     With eigenvalues e+-, p S(M/p) = p log2 p - sum e log2 e.
     """
-    d00, d11 = blocks[..., 0].real, blocks[..., 3].real
-    p = d00 + d11
-    half_gap = np.hypot(0.5 * (d00 - d11), np.abs(blocks[..., 1]))
-    half = 0.5 * p
-    terms = np.empty((3,) + p.shape)  # one _xlog2x call for all three terms
-    terms[0], terms[1], terms[2] = p, half + half_gap, half - half_gap
-    terms = _xlog2x(terms)
+    eigs = spectra(blocks.reshape(blocks.shape[:-1] + (2, 2)))
+    terms = _xlog2x(np.stack([blocks[..., 0].real + blocks[..., 3].real, eigs[..., 1], eigs[..., 0]]))
     return np.maximum(terms[0] - terms[1] - terms[2], 0.0)
 
 
@@ -340,9 +335,33 @@ def _grid_rows(n: int):
         yield rows
 
 
-# Built once per process; the grid's first chunk, theta < pi/4, holds each
-# measurement once (see canonical_angles).
-_SEED_ROWS = next(_grid_rows(_SEED_GRID_N))
+def _seed_directions() -> np.ndarray:
+    """Read-only direction rows (4, k) of the seed grid's first _PAIRS_PER_CALL pairs,
+    theta < pi/4, which hold each measurement once (see canonical_angles)."""
+    thetas, phis = _angle_axes(_SEED_GRID_N)
+    double, phi = np.repeat(2.0 * thetas[: _SEED_GRID_N // 2], _SEED_GRID_N), np.tile(phis, _SEED_GRID_N // 2)
+    s2 = np.sin(double)
+    table = np.stack([np.ones(phi.size), s2 * np.cos(phi), s2 * np.sin(phi), np.cos(double)])
+    table.setflags(write=False)
+    return table
+
+
+_SEED_DIRS = _seed_directions()  # built once per process
+
+
+def _top_seeds(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices (n, 3) of each state's three best seeds, best first, and their
+    gains; one state at a time, the table in blocks of the workspace's size."""
+    n = ev.s_x.size
+    order, value, gain = np.empty((n, 3), dtype=int), np.empty((n, 3)), np.empty(_SEED_DIRS.shape[1])
+    for i in range(n):
+        for lo in range(0, gain.size, work.slots):
+            dirs = _SEED_DIRS[:, lo : lo + work.slots]
+            gain[lo : lo + work.slots] = ev.gains([i], dirs, work.at(1, dirs.shape[1]))[0]
+        top = np.argpartition(gain, -3)[-3:]
+        order[i] = top[np.argsort(gain[top])[::-1]]
+        value[i] = gain[order[i]]
+    return order, value
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Qubit = Qubit.B) -> float:
@@ -381,14 +400,9 @@ def classical_correlation_stack(
     """
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
-    order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
-    for i in range(n):
-        gain = ev([i], _SEED_ROWS)[0]
-        top = np.argpartition(gain, -3)[-3:]
-        order[i] = top[np.argsort(gain[top])[::-1]]
-        value[i] = gain[order[i]]
     chunk = _PAIRS_PER_CALL // len(_COMPASS)
     work = _BlochWork(min(3 * n * _HALVINGS, chunk), len(_COMPASS))
+    order, value = _top_seeds(ev, work)
     thetas, phis = _angle_axes(_SEED_GRID_N)
     point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
@@ -458,13 +472,17 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 def concurrence_stack(stack: np.ndarray) -> np.ndarray:
     """Spin-flip concurrence, in [0, 1], of each state in a stack (T, 4, 4).
 
-    The square roots of the eigenvalues of rho rho~, rho~ = (sy x sy) rho*
-    (sy x sy), are the singular values of sqrt(rho) sqrt(rho~), where
-    sqrt(rho~) = (sy x sy) sqrt(rho)* (sy x sy) (Wootters, PRL 80, 2245,
-    1998); entrywise conjugation is taken in the fixed basis.  Taking
-    singular values avoids the square root of a spectrum that is near zero,
-    which would amplify round-off to ~1e-8.
+    A stack of X states takes 2 max(0, |rho_14| - sqrt(rho_22 rho_33),
+    |rho_23| - sqrt(rho_11 rho_44)) (Bellomo, Lo Franco & Compagno, PRL 99,
+    160502, 2007), clipped to [0, 1].  Any other stack takes Wootters (PRL 80,
+    2245, 1998): the square roots of the eigenvalues of rho rho~ are the
+    singular values of sqrt(rho) sqrt(rho~), sqrt(rho~) = (sy x sy) sqrt(rho)*
+    (sy x sy), with entrywise conjugation in the fixed basis.
     """
+    if is_x_stack(stack):
+        r = np.sqrt(np.maximum(stack[:, range(4), range(4)].real, 0.0))
+        c = np.maximum(np.abs(stack[:, 3, 0]) - r[:, 1] * r[:, 2], np.abs(stack[:, 2, 1]) - r[:, 0] * r[:, 3])
+        return np.clip(2.0 * c, 0.0, 1.0)
     w, v = np.linalg.eigh(stack)
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     s = np.linalg.svd(root @ _SPIN_FLIP @ root.conj() @ _SPIN_FLIP, compute_uv=False)

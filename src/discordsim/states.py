@@ -56,8 +56,30 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with (-1e-10, 0) round-off clipped to zero."""
-        w = np.linalg.eigvalsh(self.mat)
-        return np.clip(w, 0.0, None)
+        return np.clip(spectra(self.mat), 0.0, None)
+
+
+_NON_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])  # (rows, columns) an X state holds at 0
+_X_BLOCKS = np.array([[0, 3], [1, 2]])  # the index pairs of its two 2x2 blocks
+
+
+def is_x_stack(m: np.ndarray) -> bool:
+    """Whether ``m`` is a 4x4 matrix, or stack of them, whose non-X entries are all exactly zero."""
+    return m.shape[-2:] == (4, 4) and not m[..., _NON_X[0], _NON_X[1]].any()
+
+
+def spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of Hermitian matrices (..., n, n), read from
+    the lower triangle.  2x2 matrices use the closed form and a stack of X states
+    the closed forms of its two 2x2 blocks; anything else goes to LAPACK."""
+    if m.shape[-2:] == (2, 2):
+        d00, d11 = m[..., 0, 0].real, m[..., 1, 1].real
+        half, half_gap = 0.5 * (d00 + d11), np.hypot(0.5 * (d00 - d11), np.abs(m[..., 1, 0]))
+        return np.stack([half - half_gap, half + half_gap], axis=-1)
+    if is_x_stack(m):
+        blocks = m[..., _X_BLOCKS[:, :, None], _X_BLOCKS[:, None, :]]
+        return np.sort(spectra(blocks).reshape(m.shape[:-1]), axis=-1)
+    return np.linalg.eigvalsh(m)
 
 
 def validate_states(m) -> np.ndarray:
@@ -74,7 +96,7 @@ def validate_states(m) -> np.ndarray:
     trace_err = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
     if trace_err > _TRACE_TOL:
         raise ValueError(f"trace must be 1 (off by {trace_err:.3e})")
-    w_min = np.linalg.eigvalsh(m)[..., 0].min()
+    w_min = spectra(m)[..., 0].min()
     if w_min < -_POSITIVITY_TOL:
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w_min:.3e})")
     m.setflags(write=False)

@@ -25,25 +25,29 @@ from discordsim import (
     tensor,
     von_neumann_entropy,
 )
-from discordsim import correlations
+from discordsim import correlations, states
 from discordsim.correlations import (
     _COMPASS,
     _MIN_IMPROVEMENT,
     _PAIRS_PER_CALL,
+    _SEED_DIRS,
     _SEED_GRID_N,
-    _SEED_ROWS,
     _STEP_TOL,
     _ZERO_EIG,
     _BlochWork,
+    _entropy_bits,
     _GainEvaluator,
     _fill_directions,
     _grid_rows,
     _projector_rows,
+    _top_seeds,
     canonical_angles,
     classical_correlation_stack,
     concurrence_stack,
     mutual_information_stack,
 )
+from discordsim.scenarios import Family, StateFamily, build_state
+from discordsim.states import evolve_stack, is_x_stack, reduced_states, spectra
 
 from conftest import random_density, random_pure, random_unitary
 
@@ -523,16 +527,18 @@ def test_stack_rows_match_one_state_calls(rng):
 
 def _seed_compass_oracle(stack, measured):
     """classical_correlation_stack seeded on the full 64x64 grid, each measurement
-    twice, with the seed rows rebuilt per state and per chunk."""
+    twice: the seed table and its mirror (1, -n) at (pi/2 - theta, phi + pi),
+    with fresh arrays per state; the compass runs on projector rows."""
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
     thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
     phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
-    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    chunks = [slice(lo, lo + _PAIRS_PER_CALL) for lo in range(0, tt.size, _PAIRS_PER_CALL)]
+    tt, pp = (a.ravel()[:_PAIRS_PER_CALL] for a in np.meshgrid(thetas, phis, indexing="ij"))
+    tt, pp = np.concatenate([tt, 0.5 * math.pi - tt]), np.concatenate([pp, pp + math.pi])
+    dirs = np.concatenate([_SEED_DIRS, _SEED_DIRS * [[1.0], [-1.0], [-1.0], [-1.0]]], axis=1)
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = np.concatenate([ev([i], _projector_rows(tt[c], pp[c])[None])[0] for c in chunks])
+        gain = _allocating_bloch_gains(ev, [i], dirs)[0]
         order[i] = np.argsort(gain)[::-1][:3]
         value[i] = gain[order[i]]
     point = np.stack([tt[order], pp[order]], axis=-1).reshape(-1, 2)
@@ -593,12 +599,12 @@ def test_property_cached_seed_rows_match_rebuilt_rows(kinds, measured, seed):
 
 
 def test_cached_seed_rows_cannot_be_corrupted(rng):
-    assert _SEED_ROWS.shape == (1, _SEED_GRID_N**2 // 2, 4)
-    # Rows are (cos^2, ., ., sin^2) of theta.
-    seed_thetas = np.arctan2(np.sqrt(_SEED_ROWS[..., 3].real), np.sqrt(_SEED_ROWS[..., 0].real))
-    assert seed_thetas.max() < 0.25 * math.pi
+    assert _SEED_DIRS.shape == (4, _SEED_GRID_N**2 // 2)
+    # Columns are (1, n) with n_z = cos 2 theta, so theta < pi/4 means n_z > 0.
+    assert np.all(_SEED_DIRS[0] == 1.0)
+    assert _SEED_DIRS[3].min() > 0.0
     with pytest.raises(ValueError):
-        _SEED_ROWS[0, 0, 0] = 0.0
+        _SEED_DIRS[0, 0] = 0.0
     stack = np.stack([random_density(rng, 4).mat for _ in range(5)])
     other = np.stack([random_pure(rng).mat for _ in range(3)])
     first = classical_correlation_stack(stack)
@@ -610,20 +616,127 @@ def test_cached_seed_rows_cannot_be_corrupted(rng):
 
 def test_seed_rows_are_the_distinct_half_of_the_mirrored_grid(rng):
     # Grid pairs (j, k) and (n - 1 - j, k + n/2 mod n) are (theta, phi) and
-    # (pi/2 - theta, phi + pi): one measurement with its outcomes swapped.
-    # The halved seed grid rests on this; it needs n even and a phi axis
-    # without its 2 pi endpoint.
+    # (pi/2 - theta, phi + pi): one measurement with its outcomes swapped,
+    # whose direction is (1, -n).  The halved seed grid rests on this; it
+    # needs n even and a phi axis without its 2 pi endpoint.
     n = _SEED_GRID_N
-    full = np.concatenate(list(_grid_rows(n)), axis=1)
-    assert np.array_equal(_SEED_ROWS, full[:, : n * n // 2])
+    thetas = np.linspace(0.0, 0.5 * math.pi, n)
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    grid_dirs = _allocating_directions(tt, pp)
+    assert np.array_equal(_SEED_DIRS, grid_dirs[:, : n * n // 2])
     j, k = np.divmod(np.arange(n * n), n)
     mirror = (n - 1 - j) * n + (k + n // 2) % n
+    assert np.array_equal(grid_dirs[0, mirror], grid_dirs[0])
+    assert np.max(np.abs(grid_dirs[1:, mirror] + grid_dirs[1:])) <= 1e-14
+    full = np.concatenate(list(_grid_rows(n)), axis=1)
     stack = np.stack([random_density(rng, 4).mat for _ in range(8)])
     for measured in (Qubit.A, Qubit.B):
         ev = _GainEvaluator(stack, measured)
         for i in range(len(stack)):
             gain = ev([i], full)[0]
             assert np.max(np.abs(gain - gain[mirror])) < 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_STATE_KINDS)), min_size=1, max_size=30),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_top_seed_values_match_projector_rows(kinds, measured, seed):
+    # The seeds are scored on the Bloch kernel, in blocks of the workspace
+    # (several per state below 22 states); their best three values must be
+    # those of the grid's complex projector rows.  Which seeds they are may
+    # differ on ties, as on every real X state, whose gain ignores phi.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
+    ev = _GainEvaluator(stack, measured)
+    work = _BlochWork(min(12 * len(kinds), _PAIRS_PER_CALL // len(_COMPASS)), len(_COMPASS))
+    order, value = _top_seeds(ev, work)
+    rows = next(_grid_rows(_SEED_GRID_N))
+    for i in range(len(kinds)):
+        want = np.sort(ev([i], rows)[0])[::-1][:3]
+        assert np.max(np.abs(value[i] - want)) <= 1e-14
+        assert np.array_equal(value[i], _allocating_bloch_gains(ev, [i], _SEED_DIRS)[0, order[i]])
+
+
+def _edge_x_state(rng):
+    """Rank-deficient X state: one or two populations zero, rho_14 on its positivity edge."""
+    p = rng.dirichlet(np.ones(4))
+    p[rng.choice(4, rng.integers(1, 3), replace=False)] = 0.0
+    m = np.diag(p / p.sum()).astype(complex)
+    m[0, 3] = math.sqrt(m[0, 0].real * m[3, 3].real) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    m[1, 2] = rng.uniform() * math.sqrt(m[1, 1].real * m[2, 2].real) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    m[3, 0], m[2, 1] = m[0, 3].conjugate(), m[1, 2].conjugate()
+    return m
+
+
+def _evolved_family_state(rng):
+    family = StateFamily(list(Family)[rng.integers(2)], rng.uniform(), rng.uniform())
+    return evolve_stack(build_state(family), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))[0]
+
+
+_X_KINDS = {
+    "x": _x_state,
+    "edge": _edge_x_state,
+    "bell": lambda rng: build_state(StateFamily(Family.PSI, 0.5, 1.0)).mat,
+    "family": _evolved_family_state,
+}
+
+
+def _wootters(stack):
+    """Wootters concurrence as concurrence_stack's general path takes it, but with
+    eigenvalues of rho below _ZERO_EIG taken as zero.  Their square roots lift
+    round-off to up to ~1e-8 on rank-2 X states with rho_22 = 0 and rho_14 on
+    its positivity edge, where the closed form is exact."""
+    w, v = np.linalg.eigh(stack)
+    root = (v * np.sqrt(np.where(w > _ZERO_EIG, w, 0.0))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    flip = correlations._SPIN_FLIP
+    s = np.linalg.svd(root @ flip @ root.conj() @ flip, compute_uv=False)
+    return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_X_KINDS)), min_size=1, max_size=20),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_x_closed_forms_match_the_general_path(kinds, measured, seed):
+    # The general path is the oracle: LAPACK spectra and the Wootters
+    # concurrence.  Without the clip to [0, 1] the pure Bell-like state
+    # gives C = 1.0000000000000002.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_X_KINDS[kind](rng) for kind in kinds])
+    assert is_x_stack(stack)
+    assert np.max(np.abs(spectra(stack) - np.linalg.eigvalsh(stack))) <= 1e-14
+    unmeasured = Qubit.A if measured is Qubit.B else Qubit.B
+    s_x = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, unmeasured)))
+    assert np.max(np.abs(_GainEvaluator(stack, measured).s_x - s_x)) <= 1e-14
+    s_ab = _entropy_bits(np.linalg.eigvalsh(stack))
+    mi = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, measured))) + s_x - s_ab
+    assert np.max(np.abs(mutual_information_stack(stack) - np.maximum(mi, 0.0))) <= 1e-14
+    conc = concurrence_stack(stack)
+    assert np.all((0.0 <= conc) & (conc <= 1.0))
+    assert np.max(np.abs(conc - _wootters(stack))) <= 1e-14
+
+
+@pytest.mark.parametrize("entry", range(8))
+def test_one_non_x_entry_takes_the_lapack_branch(monkeypatch, rng, entry):
+    stack = np.stack([_x_state(rng) for _ in range(3)])
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def spy(m, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    spectra(stack), concurrence_stack(stack), mutual_information_stack(stack)
+    assert calls == []
+    stack[1, states._NON_X[0][entry], states._NON_X[1][entry]] = 1e-20
+    assert not is_x_stack(stack)
+    spectra(stack), concurrence_stack(stack), mutual_information_stack(stack)
+    assert calls == ["eigvalsh", "eigh", "eigvalsh"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -690,7 +803,7 @@ def _allocating_compass_oracle(stack, measured):
     n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
-        gain = ev([i], _SEED_ROWS)[0]
+        gain = _allocating_bloch_gains(ev, [i], _SEED_DIRS)[0]
         top = np.argpartition(gain, -3)[-3:]
         order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]

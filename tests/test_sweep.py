@@ -548,6 +548,24 @@ def test_run_sweep_row_count_and_header(small_fig2):
     assert len(lines) == 1 + 11 * 11
 
 
+def test_family_path_makes_no_lapack_call(monkeypatch, small_fig2):
+    # Both families are X states and the channel keeps them X, so spectra and
+    # concurrence take closed forms; a family run never pages LAPACK in.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK called on the family path")
+
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    t_grid = np.linspace(0.0, 25.0, 41)
+    for family in Family:
+        for alpha_sq, r, lam in ((0.5, 1.0, 0.1), (0.2, 0.6, 10.0), (1.0, 0.0, 1.0), (0.7, 0.3, 0.05)):
+            for measured in Qubit:
+                evolve_trajectory(StateFamily(family, alpha_sq, r), ReservoirParams(lambda_ratio=lam), t_grid, measured)
+    config, tmp_path = small_fig2
+    for measured in Qubit:
+        run_sweep(dataclasses.replace(config, measured=measured), tmp_path / f"{measured.value}.csv")
+
+
 def test_run_sweep_deterministic_bytes(small_fig2):
     config, tmp_path = small_fig2
     a = run_sweep(config, tmp_path / "a.csv").read_bytes()
