@@ -12,6 +12,7 @@ functions call it on a stack of one.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -55,6 +56,11 @@ _LEVEL_SCALE = 0.5 ** np.arange(_HALVINGS)
 # No evaluator call holds more (state, angle) pairs than half a seed grid, so
 # peak memory does not grow with the number of states in a stack.
 _PAIRS_PER_CALL = _SEED_GRID_N**2 // 2
+# Compass rounds are padded to a multiple of this many rows, and so is every
+# call, since a call's 256 rows at most are a multiple too.  A workspace then
+# caches views of at most 256 / 8 = 32 compass shapes besides the seeds' one,
+# whatever the traffic.
+_ROW_BLOCK = 8
 
 
 def canonical_angles(theta, phi):
@@ -244,12 +250,13 @@ class _GainEvaluator:
 
 class _BlochWork:
     """Buffers for the Bloch gains of up to ``size`` rows of ``d`` directions
-    each (``slots`` in all), allocated once and reused by the seeds and every
-    compass round; a compass row is one start's trials at one step size.
+    each, reused by the seeds and every compass round; a compass row is one
+    start's trials at one step size.
 
     ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
-    allocating ones bit for bit.  ``dirs`` has its row 0 preset to 1 at ``d``.
+    allocating ones bit for bit.  Views are cached per (k, d); callers keep the
+    shapes few.  ``dirs`` has its row 0 preset to 1 at ``d``.
     """
 
     # Floats per row and direction; ``keep`` is the boolean mask of ``terms``.
@@ -257,7 +264,7 @@ class _BlochWork:
               "sq": 6, "half_r": 2, "terms": 6, "logs": 6, "entropy": 2, "gain": 1}
 
     def __init__(self, size: int, d: int):
-        self.d, self.slots = d, size * d
+        self.d = d
         self.flat = {name: np.empty(size * d * n) for name, n in self._SIZES.items()}
         self.flat |= {"coef": np.empty(size * 32), "s_x": np.empty(size), "keep": np.empty(size * d * 6, bool)}
         self.flat["dirs"].reshape(size, 4, d)[:, 0] = 1.0
@@ -287,6 +294,21 @@ class _BlochWork:
             w.entropy_split = w.entropy[:, 0], w.entropy[:, 1]
             w.s_x_col = w.s_x[:, None]
         return w
+
+
+# A workspace built per call cost 13-53 us plus page faults on first touch;
+# one per thread is reused by every call and never shared between threads.
+_THREAD = threading.local()
+
+
+def _thread_work() -> _BlochWork:
+    """This thread's workspace, one seed table wide (256 compass rows of 8
+    directions, about 0.7 MB), built on its first use."""
+    try:
+        return _THREAD.work
+    except AttributeError:
+        _THREAD.work = _BlochWork(_PAIRS_PER_CALL // len(_COMPASS), len(_COMPASS))
+        return _THREAD.work
 
 
 def _fill_directions(thetas: np.ndarray, phis: np.ndarray, w: SimpleNamespace) -> None:
@@ -351,13 +373,12 @@ _SEED_DIRS = _seed_directions()  # built once per process
 
 def _top_seeds(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
     """Grid indices (n, 3) of each state's three best seeds, best first, and their
-    gains; one state at a time, the table in blocks of the workspace's size."""
+    gains; one product against the whole table per state."""
     n = ev.s_x.size
-    order, value, gain = np.empty((n, 3), dtype=int), np.empty((n, 3)), np.empty(_SEED_DIRS.shape[1])
+    order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
+    w = work.at(1, _SEED_DIRS.shape[1])
     for i in range(n):
-        for lo in range(0, gain.size, work.slots):
-            dirs = _SEED_DIRS[:, lo : lo + work.slots]
-            gain[lo : lo + work.slots] = ev.gains([i], dirs, work.at(1, dirs.shape[1]))[0]
+        gain = ev.gains([i], _SEED_DIRS, w)[0]
         top = np.argpartition(gain, -3)[-3:]
         order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]
@@ -396,12 +417,13 @@ def classical_correlation_stack(
 
     Each state's best three seeds of a 64x64 angle grid start a compass search;
     every round advances the unfinished starts of all states together, each
-    by up to _HALVINGS step sizes.
+    by up to _HALVINGS step sizes.  The arithmetic runs in this thread's
+    workspace; the results are fresh arrays.
     """
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
     chunk = _PAIRS_PER_CALL // len(_COMPASS)
-    work = _BlochWork(min(3 * n * _HALVINGS, chunk), len(_COMPASS))
+    work = _thread_work()
     order, value = _top_seeds(ev, work)
     thetas, phis = _angle_axes(_SEED_GRID_N)
     point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
@@ -411,9 +433,13 @@ def classical_correlation_stack(
         levels = step[:, None] * _LEVEL_SCALE
         built = levels >= _STEP_TOL
         row_live = np.nonzero(built)[0]  # each row's start as a position in ``live``, its rows in level order
-        row_start, row_step = live[row_live], levels[built]
-        best, top = np.empty(row_start.size, dtype=int), np.empty(row_start.size)
-        for lo in range(0, row_start.size, chunk):
+        size = row_live.size
+        # Copies of the last row pad the round to a multiple of _ROW_BLOCK rows;
+        # their results are never read.
+        pad = np.arange(size + -size % _ROW_BLOCK)
+        row_start, row_step = live[row_live.take(pad, mode="clip")], levels[built].take(pad, mode="clip")
+        best, top = np.empty(pad.size, dtype=int), np.empty(pad.size)
+        for lo in range(0, pad.size, chunk):
             rows = slice(lo, lo + chunk)
             c = row_start[rows]
             w = work.at(c.size)
@@ -423,7 +449,7 @@ def classical_correlation_stack(
             trial_gain = ev.gains(owner.take(c), w.dirs, w)
             trial_gain.argmax(axis=1, out=best[rows])
             trial_gain.max(axis=1, out=top[rows])
-        r = np.flatnonzero(top > value.take(row_start) + _MIN_IMPROVEMENT)
+        r = np.flatnonzero(top[:size] > value.take(row_start[:size]) + _MIN_IMPROVEMENT)
         moved = row_live[r]
         first = np.ones(r.size, dtype=bool)  # a start commits the first of its levels that moved
         np.not_equal(moved[1:], moved[:-1], out=first[1:])

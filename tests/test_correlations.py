@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from discordsim.correlations import (
     _COMPASS,
     _MIN_IMPROVEMENT,
     _PAIRS_PER_CALL,
+    _ROW_BLOCK,
     _SEED_DIRS,
     _SEED_GRID_N,
     _STEP_TOL,
@@ -40,6 +44,7 @@ from discordsim.correlations import (
     _fill_directions,
     _grid_rows,
     _projector_rows,
+    _thread_work,
     _top_seeds,
     canonical_angles,
     classical_correlation_stack,
@@ -645,15 +650,14 @@ def test_seed_rows_are_the_distinct_half_of_the_mirrored_grid(rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_top_seed_values_match_projector_rows(kinds, measured, seed):
-    # The seeds are scored on the Bloch kernel, in blocks of the workspace
-    # (several per state below 22 states); their best three values must be
-    # those of the grid's complex projector rows.  Which seeds they are may
-    # differ on ties, as on every real X state, whose gain ignores phi.
+    # The seeds are scored on the Bloch kernel, one product against the whole
+    # table per state; their best three values must be those of the grid's
+    # complex projector rows.  Which seeds they are may differ on ties, as on
+    # every real X state, whose gain ignores phi.
     rng = np.random.default_rng(seed)
     stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
     ev = _GainEvaluator(stack, measured)
-    work = _BlochWork(min(12 * len(kinds), _PAIRS_PER_CALL // len(_COMPASS)), len(_COMPASS))
-    order, value = _top_seeds(ev, work)
+    order, value = _top_seeds(ev, _thread_work())
     rows = next(_grid_rows(_SEED_GRID_N))
     for i in range(len(kinds)):
         want = np.sort(ev([i], rows)[0])[::-1][:3]
@@ -867,10 +871,15 @@ def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
     measured=st.sampled_from([Qubit.A, Qubit.B]),
     seed=st.integers(0, 2**32 - 1),
 )
-# A round has one row per start and step size, up to _HALVINGS rows per start.
-# At n = 22 the 264 rows of the first round just cross one 256-row call; at
-# n = 30 a later call boundary falls between two rows of one start; from
-# n = 43 on a round spans three or more calls.
+# A round has one row per start and step size, up to _HALVINGS rows per start,
+# padded to a multiple of 8 with copies of its last row.  At n = 1 the 12 rows
+# of the first round pad to 16; at n = 21 its 252 rows pad to exactly one
+# 256-row call; at n = 22 its 264 rows just cross one; at n = 30 a later call
+# boundary falls between two rows of one start; from n = 43 on a round spans
+# three or more calls.
+@example(n=1, measured=Qubit.B, seed=0)
+@example(n=6, measured=Qubit.A, seed=0)
+@example(n=21, measured=Qubit.A, seed=1)
 @example(n=90, measured=Qubit.A, seed=0)
 @example(n=86, measured=Qubit.B, seed=1)
 @example(n=22, measured=Qubit.B, seed=0)
@@ -909,10 +918,74 @@ def test_coarse_stop_tolerance_matches_allocating_rounds(monkeypatch, rng, measu
 
 
 def test_results_do_not_alias_the_compass_workspace(rng):
-    stack = np.stack([random_density(rng, 4).mat for _ in range(4)])
-    other = np.stack([_x_state(rng) for _ in range(90)])
-    first = classical_correlation_stack(stack)
+    # Each thread keeps one workspace for every call, so a call must not
+    # read what an earlier one left there: classical-quantum states, whose
+    # pure conditional states put eigenvalues below _ZERO_EIG in the entropy
+    # terms, then full-rank states over all 256 rows, then the first again.
+    classical_quantum = np.stack([_classical_quantum_state(rng) for _ in range(4)])
+    full = np.stack([random_density(rng, 4).mat for _ in range(90)])
+    calls = [(classical_quantum, Qubit.B), (full, Qubit.A), (classical_quantum, Qubit.B)]
+    first = classical_correlation_stack(*calls[0])
     kept = [a.copy() for a in first]
-    classical_correlation_stack(other, Qubit.A)
+    results = [first] + [classical_correlation_stack(*call) for call in calls[1:]]
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)
+    for got, call in zip(results, calls):
+        for a, b in zip(got, _allocating_compass_oracle(*call)):
+            assert np.array_equal(a, b)
+
+
+def test_threads_keep_their_own_workspace(rng):
+    # Two threads run concurrently, with a short switch interval, on stacks
+    # of different sizes; a shared workspace would mix their rows.
+    stacks = [
+        (np.stack([random_density(rng, 4).mat for _ in range(3)]), Qubit.B),
+        (np.stack([_classical_quantum_state(rng) for _ in range(30)]), Qubit.A),
+    ]
+    want = [classical_correlation_stack(*call) for call in stacks]
+    start = threading.Barrier(len(stacks), timeout=60)
+
+    def run(call):
+        start.wait()
+        return [classical_correlation_stack(*call) for _ in range(5)], _thread_work()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(stacks)) as pool:
+            futures = [pool.submit(run, call) for call in stacks]
+            done = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    works = [_thread_work()] + [work for _, work in done]
+    assert len({id(work) for work in works}) == len(works)
+    for (runs, _), expected in zip(done, want):
+        for got in runs:
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 6, 21, 22, 101])
+def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
+    # The seeds take one product per state against the whole (4, 2048)
+    # table, and compass calls come padded to whole blocks of _ROW_BLOCK rows,
+    # so the workspace caches at most 256 / _ROW_BLOCK + 1 shapes of views.
+    calls = []
+    gains = _GainEvaluator.gains
+
+    def spy(self, states, dirs, w):
+        calls.append((len(states), dirs))
+        return gains(self, states, dirs, w)
+
+    monkeypatch.setattr(_GainEvaluator, "gains", spy)
+    stack = np.stack([random_density(rng, 4).mat for _ in range(n)])
+    classical_correlation_stack(stack, Qubit.A if n % 2 else Qubit.B)
+    # Seed rows (4, k) are shared by all states; compass rows are (k, 4, 8).
+    seeds = [(k, dirs.shape) for k, dirs in calls if dirs.ndim == 2]
+    assert seeds == [(1, _SEED_DIRS.shape)] * n
+    compass = [dirs.shape for _, dirs in calls if dirs.ndim == 3]
+    assert len(seeds) + len(compass) == len(calls) and compass
+    assert all(shape[0] % _ROW_BLOCK == 0 and shape[1:] == (4, len(_COMPASS)) for shape in compass)
+    chunk = _PAIRS_PER_CALL // len(_COMPASS)
+    shapes = {(1, _SEED_DIRS.shape[1])} | {(k, len(_COMPASS)) for k in range(_ROW_BLOCK, chunk + 1, _ROW_BLOCK)}
+    assert set(_thread_work().views) <= shapes
