@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the figure-style sweep datasets as CSV files.
 
-Full-resolution presets evaluate ~100k trajectory points each (minutes of
-CPU); pass --grid/--steps to downsample for a quick look.
+Full-resolution presets evaluate ~100k trajectory points each (under a
+minute on one core); pass --grid/--steps to downsample for a quick look.
 
 Examples
 --------

@@ -46,21 +46,20 @@ _STEP_TOL = 1e-7
 _COMPASS = np.array(
     [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float
 ) * (0.5 * math.pi / (_SEED_GRID_N - 1), 2.0 * math.pi / _SEED_GRID_N)
-# A round evaluates each start's next _HALVINGS step sizes step * 2**-l (those
-# at or above _STEP_TOL), each l as if every smaller l had missed, and commits
-# the first that moves.  Starts never interact, so each runs the trials of a
-# one-step-per-round compass bit for bit, in fewer rounds; 4 was the fastest
-# of 1-6 and 8 on random full-rank states.
+# A round evaluates each start's next _HALVINGS step sizes as one row of trials
+# step * _MOVES, exactly (step * 2**-l) * _COMPASS level by level, each l as if
+# every smaller l had missed, and commits the first at or above _STEP_TOL that
+# moves.  Starts never interact, so each runs the trials of a one-step-per-round
+# compass bit for bit, in fewer rounds; 4 was the fastest of 1-6 and 8 on
+# random full-rank states.
 _HALVINGS = 4
 _LEVEL_SCALE = 0.5 ** np.arange(_HALVINGS)
+_MOVES = (_LEVEL_SCALE[:, None, None] * _COMPASS).reshape(-1, 2)
 # No evaluator call holds more (state, angle) pairs than half a seed grid, so
-# peak memory does not grow with the number of states in a stack.
+# peak memory does not grow with the number of states in a stack, and a
+# workspace caches views of at most 64 compass shapes besides the seeds' one.
 _PAIRS_PER_CALL = _SEED_GRID_N**2 // 2
-# Compass rounds are padded to a multiple of this many rows, and so is every
-# call, since a call's 256 rows at most are a multiple too.  A workspace then
-# caches views of at most 256 / 8 = 32 compass shapes besides the seeds' one,
-# whatever the traffic.
-_ROW_BLOCK = 8
+_STARTS_PER_CALL = _PAIRS_PER_CALL // len(_MOVES)
 
 
 def canonical_angles(theta, phi):
@@ -251,7 +250,7 @@ class _GainEvaluator:
 class _BlochWork:
     """Buffers for the Bloch gains of up to ``size`` rows of ``d`` directions
     each, reused by the seeds and every compass round; a compass row is one
-    start's trials at one step size.
+    start's trials at all its step sizes.
 
     ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
@@ -302,12 +301,12 @@ _THREAD = threading.local()
 
 
 def _thread_work() -> _BlochWork:
-    """This thread's workspace, one seed table wide (256 compass rows of 8
+    """This thread's workspace, one seed table wide (64 compass rows of 32
     directions, about 0.7 MB), built on its first use."""
     try:
         return _THREAD.work
     except AttributeError:
-        _THREAD.work = _BlochWork(_PAIRS_PER_CALL // len(_COMPASS), len(_COMPASS))
+        _THREAD.work = _BlochWork(_STARTS_PER_CALL, len(_MOVES))
         return _THREAD.work
 
 
@@ -422,7 +421,6 @@ def classical_correlation_stack(
     """
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
-    chunk = _PAIRS_PER_CALL // len(_COMPASS)
     work = _thread_work()
     order, value = _top_seeds(ev, work)
     thetas, phis = _angle_axes(_SEED_GRID_N)
@@ -430,34 +428,26 @@ def classical_correlation_stack(
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
     live, step = np.arange(3 * n), np.full(3 * n, 0.5)  # unfinished starts and their steps
     while live.size:
-        levels = step[:, None] * _LEVEL_SCALE
-        built = levels >= _STEP_TOL
-        row_live = np.nonzero(built)[0]  # each row's start as a position in ``live``, its rows in level order
-        size = row_live.size
-        # Copies of the last row pad the round to a multiple of _ROW_BLOCK rows;
-        # their results are never read.
-        pad = np.arange(size + -size % _ROW_BLOCK)
-        row_start, row_step = live[row_live.take(pad, mode="clip")], levels[built].take(pad, mode="clip")
-        best, top = np.empty(pad.size, dtype=int), np.empty(pad.size)
-        for lo in range(0, pad.size, chunk):
-            rows = slice(lo, lo + chunk)
-            c = row_start[rows]
+        best, top = np.empty((live.size, _HALVINGS), dtype=int), np.empty((live.size, _HALVINGS))
+        for lo in range(0, live.size, _STARTS_PER_CALL):
+            rows = slice(lo, lo + _STARTS_PER_CALL)
+            c = live[rows]
             w = work.at(c.size)
-            trial = np.multiply(row_step[rows, None, None], _COMPASS, out=w.trial)
+            trial = np.multiply(step[rows, None, None], _MOVES, out=w.trial)
             np.add(point.take(c, axis=0)[:, None, :], trial, out=trial)
             _fill_directions(w.thetas, w.phis, w)
-            trial_gain = ev.gains(owner.take(c), w.dirs, w)
-            trial_gain.argmax(axis=1, out=best[rows])
-            trial_gain.max(axis=1, out=top[rows])
-        r = np.flatnonzero(top[:size] > value.take(row_start[:size]) + _MIN_IMPROVEMENT)
-        moved = row_live[r]
-        first = np.ones(r.size, dtype=bool)  # a start commits the first of its levels that moved
-        np.not_equal(moved[1:], moved[:-1], out=first[1:])
-        r, moved = r[first], moved[first]
+            trial_gain = ev.gains(owner.take(c), w.dirs, w).reshape(c.size, _HALVINGS, len(_COMPASS))
+            trial_gain.argmax(axis=2, out=best[rows])
+            trial_gain.max(axis=2, out=top[rows])
+        levels = step[:, None] * _LEVEL_SCALE
+        hit = (top > value.take(live)[:, None] + _MIN_IMPROVEMENT) & (levels >= _STEP_TOL)
+        moved = np.flatnonzero(hit.any(axis=1))
+        level = hit[moved].argmax(axis=1)  # a start commits the first of its levels that moved
+        moved_step = levels[moved, level]
         step *= 0.5**_HALVINGS
-        step[moved] = 2.0 * row_step[r]
-        value[live[moved]] = top[r]
-        point[live[moved]] += row_step[r, None] * _COMPASS[best[r]]
+        step[moved] = 2.0 * moved_step
+        value[live[moved]] = top[moved, level]
+        point[live[moved]] += moved_step[:, None] * _COMPASS[best[moved, level]]
         keep = step >= _STEP_TOL
         live, step = live[keep], step[keep]
 

@@ -26,7 +26,7 @@ from .correlations import (
 )
 from .reservoir import ReservoirParams, evaluate_chi
 from .scenarios import Family, StateFamily, build_state
-from .states import Qubit, evolve_stack, require_qubit, validate_states
+from .states import _CHI_TOL, Qubit, evolve_stack, require_qubit, validate_states
 
 __all__ = [
     "Axis",
@@ -221,7 +221,8 @@ def make_trajectory(
 ) -> np.recarray:
     """Validated record array of one trajectory, one row per time point.
 
-    Every argument is a 1-D sequence of one length.  Each row must be
+    Every argument is a 1-D sequence of one length.  Times must be finite,
+    >= 0 and strictly increasing, and |chi| <= 1 (+1e-12).  Each row must be
     internally consistent: 0 <= concurrence <= 1 (+1e-12); mutual
     information and classical correlation nonnegative, the classical part at
     most the total (+1e-9); discord the gap between them within 1e-9 and not
@@ -232,10 +233,16 @@ def make_trajectory(
             (t, chi, concurrence, mutual_info, classical_corr, discord, theta, phi)]
     if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ValueError("trajectory columns must be 1-D and of one length")
-    _, _, c, i, j, d, th, ph = cols
+    ts, chi, c, i, j, d, th, ph = cols
     gap = i - j
     # (rows that pass, message for row k); written as "passes" so NaN fails.
     checks = (
+        ((0.0 <= ts) & (ts < math.inf),
+         lambda k: f"time must be finite and >= 0, got {ts[k]}"),
+        (np.concatenate([[True], ts[1:] > ts[:-1]]),
+         lambda k: f"times must increase strictly, got {ts[k]} after {ts[k - 1]}"),
+        (np.abs(chi) <= 1.0 + _CHI_TOL,
+         lambda k: f"|chi| must be <= 1, got {chi[k]}"),
         ((0.0 <= c) & (c <= 1.0 + 1e-12),
          lambda k: f"concurrence out of [0, 1]: {c[k]}"),
         ((i >= 0.0) & (j >= 0.0),

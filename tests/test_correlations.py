@@ -32,10 +32,11 @@ from discordsim import correlations, states
 from discordsim.correlations import (
     _COMPASS,
     _MIN_IMPROVEMENT,
+    _MOVES,
     _PAIRS_PER_CALL,
-    _ROW_BLOCK,
     _SEED_DIRS,
     _SEED_GRID_N,
+    _STARTS_PER_CALL,
     _STEP_TOL,
     _ZERO_EIG,
     _BlochWork,
@@ -871,12 +872,10 @@ def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
     measured=st.sampled_from([Qubit.A, Qubit.B]),
     seed=st.integers(0, 2**32 - 1),
 )
-# A round has one row per start and step size, up to _HALVINGS rows per start,
-# padded to a multiple of 8 with copies of its last row.  At n = 1 the 12 rows
-# of the first round pad to 16; at n = 21 its 252 rows pad to exactly one
-# 256-row call; at n = 22 its 264 rows just cross one; at n = 30 a later call
-# boundary falls between two rows of one start; from n = 43 on a round spans
-# three or more calls.
+# A round has one row of _HALVINGS x 8 trials per unfinished start, in calls
+# of up to 64 starts.  At n = 21 the first round's 63 starts fit one call; at
+# n = 22 its 66 starts take two; at n = 43 its 129 starts take three.  Later
+# rounds shrink back across these boundaries as starts finish.
 @example(n=1, measured=Qubit.B, seed=0)
 @example(n=6, measured=Qubit.A, seed=0)
 @example(n=21, measured=Qubit.A, seed=1)
@@ -884,15 +883,17 @@ def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
 @example(n=86, measured=Qubit.B, seed=1)
 @example(n=22, measured=Qubit.B, seed=0)
 @example(n=30, measured=Qubit.A, seed=0)
+@example(n=43, measured=Qubit.B, seed=0)
 @example(n=60, measured=Qubit.B, seed=2)
 def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed):
-    # A round holds up to 4 rows per start, one per step size, in calls of
-    # up to 256 rows that reuse one workspace; from 22 states on, a round
-    # first crosses a 256-row call, so a call also runs on a prefix of the
-    # buffers.  The in-place arithmetic must repeat the allocating
-    # one bit for bit.  Classical-quantum states leave pure conditional
-    # states near their optimum, whose eigenvalues below _ZERO_EIG the masked
-    # log2 must count as 0 log 0 = 0 whatever an earlier round left there.
+    # A round holds one row of 32 trials per start, in calls of up to 64
+    # rows that reuse one workspace; from 22 states on, a round first takes
+    # more than one call, so a call also runs on a prefix of the buffers.
+    # Levels below _STEP_TOL are evaluated but must never commit.  The
+    # in-place arithmetic must repeat the allocating one bit for bit.
+    # Classical-quantum states leave pure conditional states near their
+    # optimum, whose eigenvalues below _ZERO_EIG the masked log2 must count as
+    # 0 log 0 = 0 whatever an earlier round left there.
     rng = np.random.default_rng(seed)
     kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
     stack = np.stack([kinds[kind](rng) for kind in rng.choice(sorted(kinds), n)])
@@ -921,7 +922,7 @@ def test_results_do_not_alias_the_compass_workspace(rng):
     # Each thread keeps one workspace for every call, so a call must not
     # read what an earlier one left there: classical-quantum states, whose
     # pure conditional states put eigenvalues below _ZERO_EIG in the entropy
-    # terms, then full-rank states over all 256 rows, then the first again.
+    # terms, then full-rank states over all 64 rows, then the first again.
     classical_quantum = np.stack([_classical_quantum_state(rng) for _ in range(4)])
     full = np.stack([random_density(rng, 4).mat for _ in range(90)])
     calls = [(classical_quantum, Qubit.B), (full, Qubit.A), (classical_quantum, Qubit.B)]
@@ -968,8 +969,8 @@ def test_threads_keep_their_own_workspace(rng):
 @pytest.mark.parametrize("n", [1, 6, 21, 22, 101])
 def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
     # The seeds take one product per state against the whole (4, 2048)
-    # table, and compass calls come padded to whole blocks of _ROW_BLOCK rows,
-    # so the workspace caches at most 256 / _ROW_BLOCK + 1 shapes of views.
+    # table, and each compass call takes whole starts, at most 64 rows of 32
+    # directions, so the workspace caches at most 64 + 1 shapes of views.
     calls = []
     gains = _GainEvaluator.gains
 
@@ -980,12 +981,12 @@ def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
     monkeypatch.setattr(_GainEvaluator, "gains", spy)
     stack = np.stack([random_density(rng, 4).mat for _ in range(n)])
     classical_correlation_stack(stack, Qubit.A if n % 2 else Qubit.B)
-    # Seed rows (4, k) are shared by all states; compass rows are (k, 4, 8).
+    # Seed rows (4, k) are shared by all states; compass rows are (k, 4, 32).
     seeds = [(k, dirs.shape) for k, dirs in calls if dirs.ndim == 2]
     assert seeds == [(1, _SEED_DIRS.shape)] * n
     compass = [dirs.shape for _, dirs in calls if dirs.ndim == 3]
     assert len(seeds) + len(compass) == len(calls) and compass
-    assert all(shape[0] % _ROW_BLOCK == 0 and shape[1:] == (4, len(_COMPASS)) for shape in compass)
-    chunk = _PAIRS_PER_CALL // len(_COMPASS)
-    shapes = {(1, _SEED_DIRS.shape[1])} | {(k, len(_COMPASS)) for k in range(_ROW_BLOCK, chunk + 1, _ROW_BLOCK)}
+    assert _STARTS_PER_CALL == 64 and len(_MOVES) == 32
+    assert all(1 <= shape[0] <= 64 and shape[1:] == (4, 32) for shape in compass)
+    shapes = {(1, _SEED_DIRS.shape[1])} | {(k, 32) for k in range(1, 65)}
     assert set(_thread_work().views) <= shapes

@@ -50,6 +50,7 @@ from discordsim.sweep import (
     DEFAULT_ZERO_THRESHOLD,
     _parabola_vertex,
     _prominent_dips,
+    format_csv_rows,
 )
 
 from conftest import random_unitary
@@ -129,12 +130,21 @@ def test_esd_report_interval_validation():
 def test_make_trajectory_invariants_enforced():
     def traj(**row):
         # Row 1 of three gets the fields given; rows 0 and 2 are consistent.
-        good = dict(t=0.0, chi=1.0, concurrence=0.5, mutual_info=1.0, classical_corr=0.4,
+        good = dict(chi=1.0, concurrence=0.5, mutual_info=1.0, classical_corr=0.4,
                     discord=0.6, theta=0.0, phi=0.0)
-        return make_trajectory(**{k: [v, row.get(k, v), v] for k, v in good.items()})
+        cols = {k: [v, row.get(k, v), v] for k, v in good.items()}
+        return make_trajectory(t=[0.0, row.get("t", 1.0), 2.0], **cols)
 
     assert len(traj()) == 3  # consistent
+    assert len(traj(chi=-1.0 - 1e-12)) == 3  # within the channel's chi tolerance
     bad_rows = (
+        dict(t=math.nan),  # NaN time
+        dict(t=-0.5),  # negative time
+        dict(t=math.inf),  # infinite time
+        dict(t=0.0),  # repeated time
+        dict(chi=5.0),  # |chi| > 1
+        dict(chi=-1.0 - 1e-9),  # beyond the chi tolerance
+        dict(chi=math.nan),  # NaN chi
         dict(discord=0.3),  # discord mismatch
         dict(classical_corr=1.2, discord=-0.2),  # classical > total
         dict(concurrence=1.5),  # concurrence > 1
@@ -148,6 +158,36 @@ def test_make_trajectory_invariants_enforced():
             traj(**row)
     with pytest.raises(ValueError):
         make_trajectory([0.0, 1.0], [1.0], [0.0], [0.0], [0.0], [0.0], [0.0], [0.0])
+
+
+def test_csv_rows_with_bad_times_or_chi_raise(tmp_path):
+    # A CSV with a NaN time, an out-of-range chi or rows out of time order
+    # fails at the boundary instead of reaching the detectors.
+    params = ReservoirParams(lambda_ratio=0.1)
+    traj = evolve_trajectory(StateFamily(Family.PSI, 0.5, 1.0), params, np.linspace(0.0, 5.0, 6))
+    lines = format_csv_rows(traj, 0.5, 1.0, params)
+
+    def read_back(rows):
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+        return trajectory_from_csv_rows(read_sweep_csv(path)[1])
+
+    assert np.array_equal(read_back(lines).t, traj.t)
+    t_col, chi_col = CSV_COLUMNS.index("t_gamma0"), CSV_COLUMNS.index("chi")
+
+    def with_field(k, col, value):
+        fields = lines[k].split(",")
+        fields[col] = value
+        return lines[:k] + [",".join(fields)] + lines[k + 1 :]
+
+    cases = (
+        (with_field(2, t_col, "nan"), r"time must be finite.*\(row 2\)"),
+        (with_field(3, chi_col, "5"), r"\|chi\| must be <= 1.*\(row 3\)"),
+        ([lines[1], lines[0], *lines[2:]], r"times must increase strictly.*\(row 1\)"),
+    )
+    for rows, match in cases:
+        with pytest.raises(ValueError, match=match):
+            read_back(rows)
 
 
 def test_trajectory_columns_and_rows_agree():
