@@ -55,6 +55,17 @@ _COMPASS = np.array(
 _HALVINGS = 4
 _LEVEL_SCALE = 0.5 ** np.arange(_HALVINGS)
 _MOVES = (_LEVEL_SCALE[:, None, None] * _COMPASS).reshape(-1, 2)
+# A start's trials point + step * _MOVES take only 9 distinct theta and 9
+# distinct phi offsets, 0 and +-2**-l grid spacings: the rows of _OFFSETS.  A
+# round takes their trig once per start, into a table of columns sin 2 theta,
+# sin phi, cos 2 theta, cos phi (9 each) and a constant 1, and gathers each
+# trial's direction (1, cos phi, sin phi, cos 2 theta) at _TABLE_PICK and its
+# sin 2 theta at _THETA_PICK.
+(_THETA_OFFSETS, _THETA_PICK), (_PHI_OFFSETS, _PHI_PICK) = (np.unique(a, return_inverse=True) for a in _MOVES.T)
+_OFFSETS = np.stack([_THETA_OFFSETS, _PHI_OFFSETS])
+_N_OFFSETS = _OFFSETS.shape[1]
+_TABLE_PICK = np.stack([np.full(len(_MOVES), 4 * _N_OFFSETS), _PHI_PICK + 3 * _N_OFFSETS,
+                        _PHI_PICK + _N_OFFSETS, _THETA_PICK + 2 * _N_OFFSETS])
 # No evaluator call holds more (state, angle) pairs than half a seed grid, so
 # peak memory does not grow with the number of states in a stack, and a
 # workspace caches views of at most 64 compass shapes besides the seeds' one.
@@ -122,16 +133,15 @@ class MeasurementBasis:
         return np.outer(v0, v0.conj()), np.outer(v1, v1.conj())
 
 
-def _xlog2x(x: np.ndarray, out: np.ndarray | None = None, keep: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise x log2 x, with 0 log 0 = 0 for entries below _ZERO_EIG; written
-    into ``out``, with ``keep`` as the mask, when these buffers are given."""
-    keep = np.greater(x, _ZERO_EIG, out=keep)
-    if out is None:
-        out = np.zeros(x.shape)
-    else:
-        out.fill(0.0)
-    np.log2(x, out=out, where=keep)
-    return np.multiply(out, x, out=out, where=keep)
+def _xlog2x(
+    x: np.ndarray, out: np.ndarray | None = None, drop: np.ndarray | None = None, arg: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise x log2 x, with 0 log 0 = +0.0 for entries at or below _ZERO_EIG
+    and NaN; written into ``out``, with the mask ``drop`` and the argument ``arg``
+    as scratch, when these buffers are given.  ``x`` is left unchanged."""
+    drop = np.logical_not(np.greater(x, _ZERO_EIG, out=drop), out=drop)
+    arg = np.fmax(x, drop, out=arg)  # dropped entries become 1.0, whose term is +0.0
+    return np.multiply(np.log2(arg, out=out), arg, out=out)
 
 
 def _entropy_bits(eigs: np.ndarray) -> np.ndarray:  # spectra along the last axis
@@ -172,7 +182,7 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 # I, sigma_x, sigma_y, sigma_z written on the basis order {|1>, |0>}, so the
 # projector onto cos(theta)|1> + e^{i phi} sin(theta)|0> is (I + n.sigma)/2
-# with n as in _fill_directions.
+# with n as in _trial_directions.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -236,7 +246,7 @@ class _GainEvaluator:
         np.add(p, half_r, out=e_plus)
         np.subtract(p, half_r, out=e_minus)
         w.eigs *= 0.5
-        _xlog2x(w.terms, w.logs, w.keep)
+        _xlog2x(w.terms, w.logs, w.drop, w.arg)
         log_p, log_plus, log_minus = w.logs_split
         entropy = np.subtract(log_p, log_plus, out=w.entropy)  # p S(M/p) per outcome
         np.subtract(entropy, log_minus, out=entropy)
@@ -255,18 +265,20 @@ class _BlochWork:
     ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
     allocating ones bit for bit.  Views are cached per (k, d); callers keep the
-    shapes few.  ``dirs`` has its row 0 preset to 1 at ``d``.
+    shapes few.  Each row of ``table`` ends in a preset 1.
     """
 
-    # Floats per row and direction; ``keep`` is the boolean mask of ``terms``.
-    _SIZES = {"trial": 2, "double": 1, "s2": 1, "trig": 1, "dirs": 4, "m": 8,
-              "sq": 6, "half_r": 2, "terms": 6, "logs": 6, "entropy": 2, "gain": 1}
+    # Floats per row and direction; ``drop`` is the boolean mask of ``terms``.
+    _SIZES = {"dirs": 4, "s2": 1, "m": 8, "sq": 6, "half_r": 2, "terms": 6, "logs": 6, "arg": 6,
+              "entropy": 2, "gain": 1}
+    _TABLE = 4 * _N_OFFSETS + 1
 
     def __init__(self, size: int, d: int):
         self.d = d
         self.flat = {name: np.empty(size * d * n) for name, n in self._SIZES.items()}
-        self.flat |= {"coef": np.empty(size * 32), "s_x": np.empty(size), "keep": np.empty(size * d * 6, bool)}
-        self.flat["dirs"].reshape(size, 4, d)[:, 0] = 1.0
+        self.flat |= {"coef": np.empty(size * 32), "s_x": np.empty(size), "drop": np.empty(size * d * 6, bool),
+                      "angles": np.empty(size * 2 * _N_OFFSETS), "table": np.empty(size * self._TABLE)}
+        self.flat["table"].reshape(size, self._TABLE)[:, -1] = 1.0
         self.views = {}
 
     def at(self, k: int, d: int | None = None) -> SimpleNamespace:
@@ -277,18 +289,20 @@ class _BlochWork:
                 return self.flat[name][: math.prod(shape)].reshape(shape)
 
             w = self.views[k, d] = SimpleNamespace(
-                trial=view("trial", k, d, 2), double=view("double", k, d), s2=view("s2", k, d),
-                trig=view("trig", k, d), dirs=view("dirs", k, 4, d), coef=view("coef", k, 8, 4),
+                angles=view("angles", k, 2, _N_OFFSETS), table=view("table", k, self._TABLE),
+                dirs=view("dirs", k, 4, d), s2=view("s2", k, d), coef=view("coef", k, 8, 4),
                 m=view("m", k, 8, d), half_r=view("half_r", k, 2, d), terms=view("terms", 3, k, 2, d),
-                keep=view("keep", 3, k, 2, d), logs=view("logs", 3, k, 2, d),
+                drop=view("drop", 3, k, 2, d), logs=view("logs", 3, k, 2, d), arg=view("arg", 3, k, 2, d),
                 entropy=view("entropy", k, 2, d), s_x=view("s_x", k), gain=view("gain", k, d),
             )
             m = w.m.reshape(k, 2, 4, d)  # (row, outcome, (m0, m), direction)
             w.m_0, w.m_vec = m[:, :, 0], m[:, :, 1:]
             w.sq = view("sq", k, 2, 3, d)
             w.sq_xyz = w.sq[:, :, 0], w.sq[:, :, 1], w.sq[:, :, 2]
-            w.thetas, w.phis = w.trial[..., 0], w.trial[..., 1]
-            w.n_xyz = w.dirs[:, 1], w.dirs[:, 2], w.dirs[:, 3]
+            w.double = w.angles[:, 0]
+            w.flat_angles = w.angles.reshape(k, -1)
+            w.sines, w.cosines = w.table[:, : 2 * _N_OFFSETS], w.table[:, 2 * _N_OFFSETS : -1]
+            w.n_xy, w.s2_col = w.dirs[:, 1:3], w.s2[:, None]
             w.terms_split, w.eigs, w.logs_split = tuple(w.terms), w.terms[1:], tuple(w.logs)
             w.entropy_split = w.entropy[:, 0], w.entropy[:, 1]
             w.s_x_col = w.s_x[:, None]
@@ -310,16 +324,21 @@ def _thread_work() -> _BlochWork:
         return _THREAD.work
 
 
-def _fill_directions(thetas: np.ndarray, phis: np.ndarray, w: SimpleNamespace) -> None:
-    """Direction rows (1, n) into ``w.dirs`` (k, 4, d) for angle arrays (k, d) of
-    any real values, n = (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).
-    The mirror (pi/2 - theta, phi + pi) is -n."""
-    n_x, n_y, n_z = w.n_xyz
-    double = np.multiply(thetas, 2.0, out=w.double)
-    s2 = np.sin(double, out=w.s2)
-    np.multiply(s2, np.cos(phis, out=w.trig), out=n_x)
-    np.multiply(s2, np.sin(phis, out=w.trig), out=n_y)
-    np.cos(double, out=n_z)
+def _trial_directions(point: np.ndarray, step: np.ndarray, w: SimpleNamespace) -> np.ndarray:
+    """Direction rows (1, n) into ``w.dirs`` (k, 4, 32) for the trials
+    point + step * _MOVES of k starts at ``point`` (k, 2), any real angles, with
+    n = (sin 2 theta cos phi, sin 2 theta sin phi, cos 2 theta).  Each entry
+    repeats the arithmetic of the trial's own angles; the mirror
+    (pi/2 - theta, phi + pi) is -n."""
+    angles = np.multiply(step[:, None, None], _OFFSETS, out=w.angles)
+    np.add(point[:, :, None], angles, out=angles)  # (start, (theta, phi), offset)
+    np.multiply(w.double, 2.0, out=w.double)  # theta -> 2 theta
+    np.sin(w.flat_angles, out=w.sines)
+    np.cos(w.flat_angles, out=w.cosines)
+    np.take(w.table, _TABLE_PICK, axis=1, out=w.dirs, mode="clip")  # "raise" would copy
+    np.take(w.table, _THETA_PICK, axis=1, out=w.s2, mode="clip")
+    np.multiply(w.n_xy, w.s2_col, out=w.n_xy)
+    return w.dirs
 
 
 def _projector_rows(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -433,10 +452,8 @@ def classical_correlation_stack(
             rows = slice(lo, lo + _STARTS_PER_CALL)
             c = live[rows]
             w = work.at(c.size)
-            trial = np.multiply(step[rows, None, None], _MOVES, out=w.trial)
-            np.add(point.take(c, axis=0)[:, None, :], trial, out=trial)
-            _fill_directions(w.thetas, w.phis, w)
-            trial_gain = ev.gains(owner.take(c), w.dirs, w).reshape(c.size, _HALVINGS, len(_COMPASS))
+            dirs = _trial_directions(point.take(c, axis=0), step[rows], w)
+            trial_gain = ev.gains(owner.take(c), dirs, w).reshape(c.size, _HALVINGS, len(_COMPASS))
             trial_gain.argmax(axis=2, out=best[rows])
             trial_gain.max(axis=2, out=top[rows])
         levels = step[:, None] * _LEVEL_SCALE

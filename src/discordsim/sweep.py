@@ -11,6 +11,7 @@ bytes, and ``figure_preset`` names the sweeps of the figure datasets.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, takewhile
 from pathlib import Path
@@ -454,18 +455,28 @@ def run_sweep(config: SweepConfig, output: str | Path) -> Path:
     axis-major, then by time.  Floats carry 17 significant digits and rows
     end with a bare newline, so identical configs give identical bytes.
     Points are mutually independent; they are evaluated and written in a
-    fixed order regardless of how they might be scheduled.
+    fixed order regardless of how they might be scheduled.  Each trajectory's
+    rows go to a temporary file beside ``output`` as it completes, which
+    replaces ``output`` at the end; a run that raises removes it and leaves
+    ``output`` as it was.
     """
     path = Path(output)
     t_grid = config.time_grid()
-    lines = [",".join(CSV_COLUMNS)]
-    for family in config.families:
-        for axis_value in config.axis.values():
-            alpha_sq, r, lambda_ratio = config.point_params(axis_value)
-            scenario, params = _point(alpha_sq, r, lambda_ratio, family)
-            traj = evolve_trajectory(scenario, params, t_grid, config.measured)
-            lines.extend(format_csv_rows(traj, alpha_sq, r, params))
-    path.write_text("\n".join(lines) + "\n")
+    partial = path.with_name(f".{path.name}.{os.urandom(6).hex()}.part")
+    fh = open(partial, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for family in config.families:
+                for axis_value in config.axis.values():
+                    alpha_sq, r, lambda_ratio = config.point_params(axis_value)
+                    scenario, params = _point(alpha_sq, r, lambda_ratio, family)
+                    traj = evolve_trajectory(scenario, params, t_grid, config.measured)
+                    fh.write("\n".join(format_csv_rows(traj, alpha_sq, r, params)) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return path
 
 

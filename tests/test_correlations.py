@@ -40,22 +40,23 @@ from discordsim.correlations import (
     _STEP_TOL,
     _ZERO_EIG,
     _BlochWork,
-    _entropy_bits,
     _GainEvaluator,
-    _fill_directions,
     _grid_rows,
     _projector_rows,
     _thread_work,
     _top_seeds,
+    _trial_directions,
+    _xlog2x,
     canonical_angles,
     classical_correlation_stack,
     concurrence_stack,
     mutual_information_stack,
 )
 from discordsim.scenarios import Family, StateFamily, build_state
-from discordsim.states import evolve_stack, is_x_stack, reduced_states, spectra
+from discordsim.states import evolve_stack, is_x_stack, spectra
 
 from conftest import random_density, random_pure, random_unitary
+from xref import x_reference
 
 # Frozen reference values.
 # Binary entropy of 1/3: -(1/3)log2(1/3) - (2/3)log2(2/3).
@@ -113,6 +114,33 @@ def test_entropy_additive_on_products(rng):
         joint = von_neumann_entropy(tensor(rho_a, rho_b))
         split = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
         assert joint == pytest.approx(split, abs=1e-10)
+
+
+def _masked_xlog2x(x):
+    """x log2 x with masked ufuncs, 0 where x is at or below _ZERO_EIG or NaN."""
+    keep = x > _ZERO_EIG
+    out = np.log2(x, out=np.zeros(x.shape), where=keep)
+    return np.multiply(out, x, out=out, where=keep)
+
+
+def test_xlog2x_matches_the_masked_form(rng):
+    # Entries at or below _ZERO_EIG, NaN and -0.0 included, must give +0.0
+    # as the masked form does, sign bit included, whatever the buffers held.
+    cut = [np.nextafter(_ZERO_EIG, 0.0), _ZERO_EIG, np.nextafter(_ZERO_EIG, 1.0)]
+    special = cut + [0.0, -0.0, -1e-300, -1e-17, -1e-14, -1e-10, 1e-300, 1e-13, 0.5, 1.0, np.nan]
+    spectra_ = rng.dirichlet(np.ones(4), 100)
+    spectra_[rng.random(spectra_.shape) < 0.2] = 0.0
+    x = np.concatenate([special, rng.uniform(-1e-10, 0.0, 98), 10.0 ** rng.uniform(-20.0, 0.0, 400), spectra_.ravel()])
+    x = x[rng.permutation(x.size)].reshape(3, 2, -1)
+    want = _masked_xlog2x(x).view(np.int64)
+    kept = x.copy()
+    for buffers in ((), (np.full(x.shape, np.nan),), (None, np.ones(x.shape, bool), np.full(x.shape, -1.0)),
+                    (np.full(x.shape, -2.0), np.zeros(x.shape, bool), np.full(x.shape, np.nan))):
+        got = _xlog2x(x, *buffers)
+        assert np.array_equal(got.view(np.int64), want)
+        if buffers and buffers[0] is not None:
+            assert got is buffers[0]
+        assert np.array_equal(x.view(np.int64), kept.view(np.int64))
 
 
 # ------------------------------------------------------ mutual information
@@ -381,11 +409,15 @@ def test_concurrence_product_state(rng):
 
 
 def test_concurrence_local_unitary_invariance(rng):
+    rotated = []
     for _ in range(20):
         rho = random_density(rng, 4)
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-        rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
-        assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-10)
+        rotated.append(DensityMatrix(u @ rho.mat @ u.conj().T))
+        assert concurrence(rotated[-1]) == pytest.approx(concurrence(rho), abs=1e-10)
+    # Full-rank non-X states take the general path, which _wootters repeats.
+    stack = np.stack([rho.mat for rho in rotated])
+    assert np.max(np.abs(concurrence_stack(stack) - _wootters(stack))) <= 1e-14
 
 
 def test_concurrence_range(rng):
@@ -702,29 +734,45 @@ def _wootters(stack):
     return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
 
 
+def _x_exact(stack):
+    """xref.x_reference of each X state: (concurrence, ascending spectrum, S(AB),
+    S(A), S(B)) as arrays."""
+    refs = [x_reference(*m[range(4), range(4)].real, m[0, 3], m[1, 2]) for m in stack]
+    conc, outer, inner, s_ab, s_a, s_b = (np.array(col) for col in zip(*refs))
+    return conc, np.sort(np.concatenate([outer, inner], axis=1), axis=1), s_ab, s_a, s_b
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kinds=st.lists(st.sampled_from(sorted(_X_KINDS)), min_size=1, max_size=20),
     measured=st.sampled_from([Qubit.A, Qubit.B]),
     seed=st.integers(0, 2**32 - 1),
 )
+# LAPACK's eigh + SVD Wootters concurrence, the former oracle, was 1.6e-14 off
+# on row 10 of this example (|rho_14| = 1.7e-3, rho_11 = 8.4e-6); the closed
+# form agrees with the 50-digit reference.
+@example(
+    kinds=["edge", "family", "edge", "family", "family", "family", "family", "family", "x", "edge", "family"],
+    measured=Qubit.A,
+    seed=121282989,
+)
 def test_property_x_closed_forms_match_the_general_path(kinds, measured, seed):
-    # The general path is the oracle: LAPACK spectra and the Wootters
-    # concurrence.  Without the clip to [0, 1] the pure Bell-like state
-    # gives C = 1.0000000000000002.
+    # The X closed forms against the exact values of the same definitions
+    # (xref, 50 decimal digits): the spectra, the entropies and the
+    # concurrence.  Without the clip to [0, 1] the pure Bell-like state gives
+    # C = 1.0000000000000002.
     rng = np.random.default_rng(seed)
     stack = np.stack([_X_KINDS[kind](rng) for kind in kinds])
     assert is_x_stack(stack)
-    assert np.max(np.abs(spectra(stack) - np.linalg.eigvalsh(stack))) <= 1e-14
-    unmeasured = Qubit.A if measured is Qubit.B else Qubit.B
-    s_x = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, unmeasured)))
+    conc_ref, eigs, s_ab, s_a, s_b = _x_exact(stack)
+    assert np.max(np.abs(spectra(stack) - eigs)) <= 1e-14
+    s_x = s_a if measured is Qubit.B else s_b
     assert np.max(np.abs(_GainEvaluator(stack, measured).s_x - s_x)) <= 1e-14
-    s_ab = _entropy_bits(np.linalg.eigvalsh(stack))
-    mi = _entropy_bits(np.linalg.eigvalsh(reduced_states(stack, measured))) + s_x - s_ab
-    assert np.max(np.abs(mutual_information_stack(stack) - np.maximum(mi, 0.0))) <= 1e-14
+    mi = np.maximum(s_a + s_b - s_ab, 0.0)
+    assert np.max(np.abs(mutual_information_stack(stack) - mi)) <= 1e-14
     conc = concurrence_stack(stack)
     assert np.all((0.0 <= conc) & (conc <= 1.0))
-    assert np.max(np.abs(conc - _wootters(stack))) <= 1e-14
+    assert np.max(np.abs(conc - conc_ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("entry", range(8))
@@ -752,23 +800,34 @@ def test_one_non_x_entry_takes_the_lapack_branch(monkeypatch, rng, entry):
 )
 def test_property_bloch_gains_match_projector_rows(kinds, measured, seed):
     # The compass's direction rows n = (sin 2 theta cos phi, sin 2 theta
-    # sin phi, cos 2 theta) against the seeds' and the oracle's projector
-    # rows.  Real X states cannot tell the signs of n apart; full-rank states
-    # and X states with complex coherences can.
+    # sin phi, cos 2 theta), gathered from each start's angle tables, must be
+    # those of the trials' own angles bit for bit, and their gains those of
+    # the oracle's projector rows.  Starts sit at the poles and at angles
+    # outside [0, pi/2] and [0, 2 pi), with steps from 1e-9 to 8.  Real X
+    # states cannot tell the signs of n apart; full-rank states and X states
+    # with complex coherences can.
     rng = np.random.default_rng(seed)
+    k = len(kinds)
     stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
-    thetas = rng.uniform(-7.0, 7.0, (len(kinds), 64))
-    phis = rng.uniform(-10.0, 10.0, (len(kinds), 64))
-    states = np.arange(len(kinds))
+    point = np.stack([rng.uniform(-7.0, 7.0, k), rng.uniform(-10.0, 20.0, k)], axis=-1)
+    point[rng.random(k) < 0.25, 0] = 0.0
+    point[rng.random(k) < 0.25, 0] = 0.5 * math.pi
+    point[-1, 0] = 0.5 * math.pi * rng.integers(2)
+    step = 10.0 ** rng.uniform(-9.0, math.log10(8.0), k)
+    step[0], step[-1] = 1e-9, 8.0
+    w = _BlochWork(k, len(_MOVES)).at(k)
+    dirs = _trial_directions(point, step, w)
+    trial = point[:, None, :] + step[:, None, None] * _MOVES
+    thetas, phis = trial[..., 0], trial[..., 1]
+    assert np.array_equal(dirs.view(np.int64), _allocating_directions(thetas, phis).view(np.int64))
+    states = np.arange(k)
     ev = _GainEvaluator(stack, measured)
-    w, mirror = (_BlochWork(len(kinds), 64).at(len(kinds)) for _ in range(2))
-    _fill_directions(thetas, phis, w)
-    got = ev.gains(states, w.dirs, w).copy()
+    got = ev.gains(states, dirs, w).copy()
     assert np.max(np.abs(got - ev(states, _projector_rows(thetas, phis)))) <= 1e-14
     # The mirror (pi/2 - theta, phi + pi) is the direction -n.
-    _fill_directions(0.5 * math.pi - thetas, phis + math.pi, mirror)
-    assert np.max(np.abs(mirror.dirs[:, 1:] + w.dirs[:, 1:])) <= 1e-14
-    assert np.max(np.abs(ev.gains(states, mirror.dirs, mirror) - got)) <= 1e-14
+    mirror = _allocating_directions(0.5 * math.pi - thetas, phis + math.pi)
+    assert np.max(np.abs(mirror[:, 1:] + dirs[:, 1:])) <= 1e-14
+    assert np.max(np.abs(ev.gains(states, mirror, w) - got)) <= 1e-14
 
 
 def _allocating_bloch_gains(ev, states, dirs):

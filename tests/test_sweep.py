@@ -43,6 +43,7 @@ from discordsim import (
     trajectory_from_csv_rows,
     trajectory_from_state,
 )
+from discordsim import sweep
 from discordsim.sweep import (
     _EXACT_ZERO,
     _MIN_PROMINENCE,
@@ -611,6 +612,55 @@ def test_run_sweep_deterministic_bytes(small_fig2):
     a = run_sweep(config, tmp_path / "a.csv").read_bytes()
     b = run_sweep(config, tmp_path / "b.csv").read_bytes()
     assert a == b
+
+
+def _joined_sweep_bytes(config):
+    """A sweep's CSV as one list of lines joined at the end."""
+    t_grid = config.time_grid()
+    lines = [",".join(CSV_COLUMNS)]
+    for family in config.families:
+        for axis_value in config.axis.values():
+            alpha_sq, r, lambda_ratio = config.point_params(axis_value)
+            params = ReservoirParams(lambda_ratio=lambda_ratio)
+            traj = evolve_trajectory(StateFamily(family, alpha_sq, r), params, t_grid, config.measured)
+            lines.extend(format_csv_rows(traj, alpha_sq, r, params))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_run_sweep_streams_the_joined_bytes(tmp_path, preset):
+    # Rows go to disk one trajectory at a time; the file must be the one the
+    # whole list joined at the end gives, with nothing left beside it.
+    config = figure_preset(preset)
+    config = dataclasses.replace(config, axis=dataclasses.replace(config.axis, count=2), steps=21)
+    path = run_sweep(config, tmp_path / "out.csv")
+    assert path.read_bytes() == _joined_sweep_bytes(config)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failed_run_sweep_leaves_the_target_as_it_was(monkeypatch, small_fig2):
+    # A second trajectory that raises removes the partial file; a target from
+    # an earlier run keeps its bytes, and a new one is not created.
+    config, tmp_path = small_fig2
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("trajectory failed")
+        return evolve_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "evolve_trajectory", fail_second)
+    with pytest.raises(RuntimeError, match="trajectory failed"):
+        run_sweep(config, tmp_path / "new.csv")
+    assert list(tmp_path.iterdir()) == []
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"earlier run\n")
+    calls.clear()
+    with pytest.raises(RuntimeError, match="trajectory failed"):
+        run_sweep(config, old)
+    assert old.read_bytes() == b"earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
 
 
 def test_run_sweep_round_trip(small_fig2):
