@@ -13,7 +13,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import time
 from pathlib import Path
 
@@ -30,13 +29,7 @@ def main() -> int:
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     for preset in args.only:
-        config = figure_preset(preset)
-        if args.grid is not None:
-            config = dataclasses.replace(
-                config, axis=dataclasses.replace(config.axis, count=args.grid)
-            )
-        if args.steps is not None:
-            config = dataclasses.replace(config, steps=args.steps)
+        config = figure_preset(preset).resized(args.grid, args.steps)
         n_points = len(config.families) * config.axis.count * config.steps
         print(f"{preset}: {n_points} points ...", flush=True)
         start = time.monotonic()

@@ -18,7 +18,6 @@ Exit codes: 0 on success, 1 when verification fails, 2 on usage errors
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,12 +25,11 @@ import numpy as np
 
 from . import __version__
 from .reservoir import ReservoirParams, chi_zeros
-from .scenarios import Family, StateFamily
+from .scenarios import Family, StateFamily, build_state
 from .states import DensityMatrix, Qubit
 from .sweep import (
     CSV_COLUMNS,
     PRESET_IDS,
-    evolve_trajectory,
     figure_preset,
     format_csv_rows,
     run_sweep,
@@ -75,12 +73,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     measured = Qubit(args.measure)
     if args.raw_state is not None:
         rho0 = load_raw_state(Path(args.raw_state).read_text())
-        traj = trajectory_from_state(rho0, params, t_grid, measured)
         alpha_sq = r = float("nan")
     else:
-        scenario = StateFamily(Family(args.state), args.alpha2, args.r)
-        traj = evolve_trajectory(scenario, params, t_grid, measured)
-        alpha_sq, r = args.alpha2, args.r
+        family = Family.PSI if args.state is None else Family(args.state)
+        alpha_sq = 0.5 if args.alpha2 is None else args.alpha2
+        r = 1.0 if args.r is None else args.r
+        rho0 = build_state(StateFamily(family, alpha_sq, r))
+    traj = trajectory_from_state(rho0, params, t_grid, measured)
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(format_csv_rows(traj, alpha_sq, r, params))
     _write_lines(lines, args.output)
@@ -88,20 +87,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = figure_preset(args.preset)
-    if args.grid is not None:
-        config = dataclasses.replace(
-            config, axis=dataclasses.replace(config.axis, count=args.grid)
-        )
-    replacements = {}
-    if args.steps is not None:
-        replacements["steps"] = args.steps
-    if args.tmax is not None:
-        replacements["t_max"] = args.tmax
-    if args.measure is not None:
-        replacements["measured"] = Qubit(args.measure)
-    if replacements:
-        config = dataclasses.replace(config, **replacements)
+    measured = None if args.measure is None else Qubit(args.measure)
+    config = figure_preset(args.preset).resized(args.grid, args.steps, args.tmax, measured)
     path = run_sweep(config, args.output)
     print(f"wrote {path}")
     return _EXIT_OK
@@ -298,16 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "evolve":
-        family_flags = (args.state, args.alpha2, args.r)
-        if args.raw_state is not None and any(v is not None for v in family_flags):
+    if args.command == "evolve" and args.raw_state is not None:
+        if any(v is not None for v in (args.state, args.alpha2, args.r)):
             parser.error("--raw-state excludes --state/--alpha2/--r")
-        if args.state is None:
-            args.state = Family.PSI.value
-        if args.alpha2 is None:
-            args.alpha2 = 0.5
-        if args.r is None:
-            args.r = 1.0
 
     handlers = {
         "evolve": _cmd_evolve,

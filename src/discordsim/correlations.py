@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .states import DensityMatrix, Qubit, is_x_stack, reduced_states, require_qubit, spectra
+from .states import _POSITIVITY_TOL, DensityMatrix, Qubit, is_x_stack, reduced_states, require_qubit, spectra
 
 __all__ = [
     "MeasurementBasis",
@@ -33,7 +33,7 @@ __all__ = [
     "concurrence",
 ]
 
-_EIG_CLIP = 1e-10  # round-off negatives below this magnitude are an error
+_DISCORD_TOL = 1e-9  # round-off of I - J: a discord within -this of 0 is 0
 _ZERO_EIG = 1e-14  # eigenvalues/probabilities below this contribute 0 log 0 = 0
 _SEED_GRID_N = 64
 # Compass refinement: a start moves only for a gain above round-off, doubling
@@ -145,7 +145,7 @@ def _xlog2x(
 
 
 def _entropy_bits(eigs: np.ndarray) -> np.ndarray:  # spectra along the last axis
-    if eigs.min(initial=0.0) < -_EIG_CLIP:
+    if eigs.min(initial=0.0) < -_POSITIVITY_TOL:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e} beyond tolerance")
     return np.maximum(0.0, -np.sum(_xlog2x(eigs), axis=-1))
 
@@ -484,7 +484,7 @@ def discord_from_parts(total, classical):
     """Discord as total minus classical (scalars or arrays), with round-off
     within -1e-9 clipped to 0."""
     d = np.subtract(total, classical)
-    return np.where((-1e-9 <= d) & (d < 0.0), 0.0, d)[()]
+    return np.where((-_DISCORD_TOL <= d) & (d < 0.0), 0.0, d)[()]
 
 
 def quantum_discord(rho: DensityMatrix, measured: Qubit = Qubit.B) -> float:

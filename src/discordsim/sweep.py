@@ -12,13 +12,14 @@ bytes, and ``figure_preset`` names the sweeps of the figure datasets.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
 
 from .correlations import (
+    _DISCORD_TOL,
     angle_rules,
     classical_correlation_stack,
     concurrence_stack,
@@ -157,6 +158,15 @@ class SweepConfig:
     def time_grid(self) -> np.ndarray:
         return uniform_grid(self.t_max, self.steps)
 
+    def resized(self, grid=None, steps=None, t_max=None, measured=None) -> "SweepConfig":
+        """This config with the swept-axis point count, the number of time
+        samples, the horizon or the measured qubit replaced; None keeps a value."""
+        changes = {"steps": steps, "t_max": t_max, "measured": measured}
+        changes = {name: value for name, value in changes.items() if value is not None}
+        if grid is not None:
+            changes["axis"] = replace(self.axis, count=grid)
+        return replace(self, **changes)
+
 
 # The figure datasets: id -> (families, axis (name, min, max, count), t_max,
 # the two fixed parameters), each sampled at 1001 times.  The Markovian
@@ -248,11 +258,11 @@ def make_trajectory(
          lambda k: f"concurrence out of [0, 1]: {c[k]}"),
         ((i >= 0.0) & (j >= 0.0),
          lambda k: "correlation measures must be nonnegative"),
-        (j <= i + 1e-9,
+        (j <= i + _DISCORD_TOL,
          lambda k: f"classical correlation {j[k]} exceeds mutual information {i[k]}"),
-        (d >= -1e-9,
+        (d >= -_DISCORD_TOL,
          lambda k: f"discord below round-off floor: {d[k]}"),
-        (np.abs(d - gap) <= 1e-9,
+        (np.abs(d - gap) <= _DISCORD_TOL,
          lambda k: f"discord {d[k]} inconsistent with total - classical = {gap[k]}"),
         *angle_rules(th, ph),
     )
@@ -298,16 +308,10 @@ def evolve_trajectory(
     return trajectory_from_state(build_state(scenario), params, t_grid, measured)
 
 
-def _bool_runs(mask: np.ndarray):
-    """Yield (start, end) inclusive index pairs of maximal True runs."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    for s, e in zip(starts, ends):
-        yield int(idx[s]), int(idx[e])
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of equal values of a nonempty ``x``."""
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    return starts, np.append(starts[1:] - 1, x.size - 1)
 
 
 def detect_esd(
@@ -329,26 +333,14 @@ def detect_esd(
         raise ValueError("trajectory is empty")
     t, c = traj.t, traj.concurrence
     below = c < threshold
-
-    esd_time = None
-    dead_end = None
-    for i0, i1 in _bool_runs(below):
-        if t[i1] - t[i0] < dwell_window:
-            continue
-        if not np.any(c[i0 : i1 + 1] == 0.0):
-            continue
-        esd_time = float(t[i0])
-        dead_end = i1
-        break
-
-    revivals = []
-    if esd_time is not None and dead_end is not None and dead_end + 1 < t.size:
-        above = ~below[dead_end + 1 :]
-        for j0, j1 in _bool_runs(above):
-            revivals.append(
-                (float(t[dead_end + 1 + j0]), float(t[dead_end + 1 + j1]))
-            )
-    return EsdReport(esd_time=esd_time, revival_times=tuple(revivals))
+    starts, ends = _runs(below)
+    runs = list(zip(starts.tolist(), ends.tolist()))
+    for k, (i0, i1) in enumerate(runs):
+        if below[i0] and t[i1] - t[i0] >= dwell_window and np.any(c[i0 : i1 + 1] == 0.0):
+            esd_time = float(t[i0])
+            revivals = [(float(t[j0]), float(t[j1])) for j0, j1 in runs[k + 1 :] if not below[j0]]
+            return EsdReport(esd_time=esd_time, revival_times=tuple(revivals))
+    return EsdReport(esd_time=None, revival_times=())
 
 
 def _parabola_vertex(t0, t1, t2, d0, d1, d2) -> float:
@@ -371,8 +363,7 @@ def _prominent_dips(d: np.ndarray, min_prominence: float) -> list[tuple[int, int
     or ends, take the highest value reached, and subtract the dip's value
     from the lower of the two highs.
     """
-    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
-    ends = np.append(starts[1:] - 1, d.size - 1)
+    starts, ends = _runs(d)
     v = d[starts]  # one value per run; a walk moves run by run
     runs = v.tolist()
     dips = []

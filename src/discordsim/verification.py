@@ -10,7 +10,6 @@ deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import tempfile
 from dataclasses import dataclass
@@ -34,11 +33,13 @@ from .states import (
     DensityMatrix,
     Qubit,
     amplitude_damping_kraus,
+    evolve_stack,
     partial_trace,
     pure_state,
+    reduced_states,
     single_qubit_evolve,
+    spectra,
     tensor,
-    two_qubit_evolve,
 )
 from .sweep import detect_discord_zeros, detect_esd, evolve_trajectory, figure_preset, revival_amplitude, run_sweep
 
@@ -71,11 +72,11 @@ def _random_pure(rng: np.random.Generator) -> DensityMatrix:
 def check_amplitude_factor() -> CheckResult:
     # every probe is (error - tolerance); all must come out <= 0
     margins = []
+    ts = np.linspace(0.0, 30.0, 301)
     for lam in (0.05, 0.1, 0.5, 2.0, 10.0):
         p = ReservoirParams(lambda_ratio=lam)
         margins.append(abs(evaluate_chi(p, 0.0) - 1.0) - 1e-14)
-        ts = np.linspace(0.0, 30.0, 301)
-        margins.append(max(abs(evaluate_chi(p, t)) for t in ts) - (1.0 + 1e-12))
+        margins.append(float(np.max(np.abs(evaluate_chi(p, ts)))) - (1.0 + 1e-12))
     # wide-reservoir limit: chi approaches exp(-t/2)
     wide = ReservoirParams(lambda_ratio=1000.0)
     margins.append(abs(evaluate_chi(wide, 1.0) - math.exp(-0.5)) - 1e-2)
@@ -182,9 +183,7 @@ def _kernel_sup_err(lambda_ratios, t: np.ndarray) -> float:
     worst = 0.0
     for lam in lambda_ratios:
         p = ReservoirParams(lambda_ratio=lam)
-        sol = solve_memory_kernel(p, t)
-        exact = np.array([evaluate_chi(p, ti) for ti in t])
-        worst = max(worst, float(np.max(np.abs(sol - exact))))
+        worst = max(worst, float(np.max(np.abs(solve_memory_kernel(p, t) - evaluate_chi(p, t)))))
     return worst
 
 
@@ -309,24 +308,21 @@ def criterion_7_pure_state_identity() -> CheckResult:
 
 
 def _channel_violation(rng: np.random.Generator, count: int) -> float:
-    """Worst violation of the channel laws over ``count`` random states and amplitudes."""
-    worst = 0.0
+    """Worst violation of the channel laws over ``count`` random states and
+    amplitudes, NaN if a law reads NaN."""
+    errs = [0.0]
     for _ in range(count):
         rho = _random_state(rng, 4)
         chi_a = rng.uniform(-1, 1)
         chi_b = rng.uniform(-1, 1)
-        out = two_qubit_evolve(rho, chi_a, chi_b)
-        worst = max(worst, abs(np.trace(out.mat).real - 1.0))
-        worst = max(worst, max(0.0, -float(out.eigenvalues().min()) - 1e-10))
-        for chi in (chi_a, chi_b):
+        out = evolve_stack(rho, chi_a, chi_b)  # unvalidated, so a negative eigenvalue shows
+        errs += [abs(np.trace(out[0]).real - 1.0), -spectra(out)[0, 0] - 1e-10]
+        for q, chi in ((Qubit.A, chi_a), (Qubit.B, chi_b)):
             pair = amplitude_damping_kraus(chi)
-            comp = pair.k0.conj().T @ pair.k0 + pair.k1.conj().T @ pair.k1
-            worst = max(worst, float(np.max(np.abs(comp - np.eye(2)))))
-        red_a = single_qubit_evolve(partial_trace(rho, Qubit.A), chi_a)
-        red_b = single_qubit_evolve(partial_trace(rho, Qubit.B), chi_b)
-        worst = max(worst, float(np.max(np.abs(partial_trace(out, Qubit.A).mat - red_a.mat))))
-        worst = max(worst, float(np.max(np.abs(partial_trace(out, Qubit.B).mat - red_b.mat))))
-    return worst
+            errs.append(np.max(np.abs(pair.k0.conj().T @ pair.k0 + pair.k1.conj().T @ pair.k1 - np.eye(2))))
+            red = single_qubit_evolve(partial_trace(rho, q), chi)
+            errs.append(np.max(np.abs(reduced_states(out, q)[0] - red.mat)))
+    return float(np.max(errs))
 
 
 def criterion_8_channel_laws() -> CheckResult:
@@ -337,10 +333,7 @@ def criterion_8_channel_laws() -> CheckResult:
 
 def criterion_9_determinism() -> CheckResult:
     """Identical sweep configs produce byte-identical CSV files."""
-    base = figure_preset("fig2")
-    cfg = dataclasses.replace(
-        base, axis=dataclasses.replace(base.axis, count=5), steps=21
-    )
+    cfg = figure_preset("fig2").resized(grid=5, steps=21)
     with tempfile.TemporaryDirectory() as td:
         p1 = run_sweep(cfg, Path(td) / "run1.csv")
         p2 = run_sweep(cfg, Path(td) / "run2.csv")
@@ -375,13 +368,20 @@ ACCEPTANCE_CHECKS = (
 
 
 def run_verification(level: str = "quick") -> list[CheckResult]:
-    """Run the requested tier; 'full' appends the acceptance battery."""
+    """Run the requested tier; 'full' appends the acceptance battery.  A check
+    that raises gives a failed result, and the remaining checks still run."""
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
-    checks = list(QUICK_CHECKS)
-    if level == "full":
-        checks += list(ACCEPTANCE_CHECKS)
-    return [fn() for fn in checks]
+    checks = QUICK_CHECKS + (ACCEPTANCE_CHECKS if level == "full" else ())
+    return [_run_check(fn) for fn in checks]
+
+
+def _run_check(fn) -> CheckResult:
+    """The check's result, or a failed one naming the check and what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return CheckResult(fn.__name__, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def format_report(results: list[CheckResult]) -> str:

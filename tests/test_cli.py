@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from discordsim import CSV_COLUMNS
+from discordsim import CSV_COLUMNS, Qubit, figure_preset, read_sweep_csv, run_sweep
+from discordsim import cli, verification
 
 FIRST_ZERO = 8.242034311692072
 SECOND_ZERO = 22.656649994605434
@@ -110,6 +111,14 @@ def test_evolve_writes_to_stdout_by_default():
     assert len(lines) == 3
 
 
+def test_evolve_defaults_to_the_psi_bell_state():
+    args = ("evolve", "--lambda-ratio", "0.5", "--tmax", "3", "--steps", "7")
+    default = run_cli(*args)
+    explicit = run_cli(*args, "--state", "psi", "--alpha2", "0.5", "--r", "1")
+    assert default.returncode == explicit.returncode == 0
+    assert default.stdout == explicit.stdout
+
+
 def test_evolve_rejects_bad_alpha2():
     for args in (("--alpha2", "1.5", "--tmax", "1"), ("--tmax", "nan")):
         proc = run_cli("evolve", *args, "--steps", "2")
@@ -199,6 +208,18 @@ def test_sweep_preset_with_overrides(tmp_path):
     assert len(lines) == 1 + 3 * 3
 
 
+def test_sweep_overrides_horizon_and_measured_qubit(tmp_path):
+    out = tmp_path / "cli.csv"
+    proc = run_cli(
+        "sweep", "--preset", "fig2", "--grid", "3", "--steps", "21", "--tmax", "10",
+        "--measure", "A", "--output", str(out),
+    )
+    assert proc.returncode == 0
+    config = figure_preset("fig2").resized(3, 21, 10.0, Qubit.A)
+    assert out.read_bytes() == run_sweep(config, tmp_path / "lib.csv").read_bytes()
+    assert read_sweep_csv(out)[1][-1, 0] == 10.0
+
+
 def test_sweep_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("sweep", "--preset", "fig2", "--grid", "3", "--steps", "3")
@@ -230,3 +251,17 @@ def test_verify_quick_passes_quickly():
 def test_verify_rejects_unknown_level():
     proc = run_cli("verify", "--level", "extreme")
     assert proc.returncode == 2
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
+    def check_that_raises():
+        raise RuntimeError("no discord zero")
+
+    checks = (verification.check_zero_formula, check_that_raises, verification.check_werner_values)
+    monkeypatch.setattr(verification, "QUICK_CHECKS", checks)
+    assert cli.main(["verify", "--level", "quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS  zero-formula")
+    assert lines[1].split() == ["FAIL", "check_that_raises", "raised", "RuntimeError:", "no", "discord", "zero"]
+    assert lines[2].startswith("PASS  werner-values")
+    assert lines[3] == "2/3 checks passed, 1 FAILED"

@@ -50,13 +50,14 @@ from discordsim.correlations import (
     canonical_angles,
     classical_correlation_stack,
     concurrence_stack,
+    discord_from_parts,
     mutual_information_stack,
 )
 from discordsim.scenarios import Family, StateFamily, build_state
 from discordsim.states import evolve_stack, is_x_stack, spectra
 
 from conftest import random_density, random_pure, random_unitary
-from xref import x_reference
+from xref import x_discord_reference, x_reference
 
 # Frozen reference values.
 # Binary entropy of 1/3: -(1/3)log2(1/3) - (2/3)log2(2/3).
@@ -773,6 +774,32 @@ def test_property_x_closed_forms_match_the_general_path(kinds, measured, seed):
     conc = concurrence_stack(stack)
     assert np.all((0.0 <= conc) & (conc <= 1.0))
     assert np.max(np.abs(conc - conc_ref)) <= 1e-14
+
+
+def _tail_family_state(rng):
+    """Family state deep in the vacuum tail: one amplitude chi, 1e-7 <= |chi| <= 1e-2, on both qubits."""
+    family = StateFamily(list(Family)[rng.integers(2)], rng.uniform(), rng.uniform())
+    chi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, -2.0)
+    return evolve_stack(build_state(family), chi, chi)[0]
+
+
+_J_KINDS = (_x_state, _edge_x_state, _evolved_family_state, _tail_family_state)
+
+
+@settings(max_examples=10, deadline=None)
+@given(measured=st.sampled_from([Qubit.A, Qubit.B]), seed=st.integers(0, 2**32 - 1))
+def test_property_x_classical_correlation_matches_the_exact_reference(measured, seed):
+    # J and D of one state of each kind against xref's 50-digit maximum of the
+    # gain over c = n_z.  On tail states an eigenvalue near the 1e-14 cut may
+    # fall on the other side of it in floats, which moves an outcome's entropy
+    # by up to 4.65e-13 bits.
+    rng = np.random.default_rng(seed)
+    stack = np.stack([make(rng) for make in _J_KINDS])
+    refs = [x_discord_reference(*m[range(4), range(4)].real, m[0, 3], m[1, 2], measured is Qubit.B) for m in stack]
+    j_ref, d_ref = np.array(refs).T
+    j = classical_correlation_stack(stack, measured)[0]
+    assert np.max(np.abs(j - j_ref)) <= 1e-12
+    assert np.max(np.abs(discord_from_parts(mutual_information_stack(stack), j) - d_ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("entry", range(8))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -108,6 +107,22 @@ def test_sweep_config_validation():
     for t_max, steps in ((-1.0, 11), (0.0, 3), (math.inf, 3), (math.nan, 3), (10.0, 1)):
         with pytest.raises(ValueError):  # bad time grid
             SweepConfig((Family.PSI,), axis, t_max, steps, r=1.0, lambda_ratio=0.1)
+
+
+def test_resized_replaces_only_what_it_is_given():
+    config = figure_preset("fig4")
+    assert config.resized() == config
+    small = config.resized(grid=3, t_max=10.0)
+    assert small.axis == Axis("r", 0.0, 1.0, 3)
+    assert (small.t_max, small.steps, small.measured) == (10.0, 1001, Qubit.B)
+    assert small.resized(steps=21, measured=Qubit.A) == SweepConfig(
+        (Family.PHI, Family.PSI), Axis("r", 0.0, 1.0, 3), 10.0, 21, alpha_sq=0.5, lambda_ratio=0.1,
+        measured=Qubit.A,
+    )
+    with pytest.raises(ValueError, match="axis count"):
+        config.resized(grid=1)
+    with pytest.raises(ValueError, match="steps"):
+        config.resized(steps=1)
 
 
 def test_time_grid_endpoints():
@@ -572,13 +587,7 @@ def test_revival_amplitude_truncated_before_zero_raises():
 
 @pytest.fixture
 def small_fig2(tmp_path):
-    config = figure_preset("fig2")
-    config = dataclasses.replace(
-        config,
-        axis=dataclasses.replace(config.axis, count=11),
-        steps=11,
-    )
-    return config, tmp_path
+    return figure_preset("fig2").resized(grid=11, steps=11), tmp_path
 
 
 def test_run_sweep_row_count_and_header(small_fig2):
@@ -604,7 +613,7 @@ def test_family_path_makes_no_lapack_call(monkeypatch, small_fig2):
                 evolve_trajectory(StateFamily(family, alpha_sq, r), ReservoirParams(lambda_ratio=lam), t_grid, measured)
     config, tmp_path = small_fig2
     for measured in Qubit:
-        run_sweep(dataclasses.replace(config, measured=measured), tmp_path / f"{measured.value}.csv")
+        run_sweep(config.resized(measured=measured), tmp_path / f"{measured.value}.csv")
 
 
 def test_run_sweep_deterministic_bytes(small_fig2):
@@ -631,8 +640,7 @@ def _joined_sweep_bytes(config):
 def test_run_sweep_streams_the_joined_bytes(tmp_path, preset):
     # Rows go to disk one trajectory at a time; the file must be the one the
     # whole list joined at the end gives, with nothing left beside it.
-    config = figure_preset(preset)
-    config = dataclasses.replace(config, axis=dataclasses.replace(config.axis, count=2), steps=21)
+    config = figure_preset(preset).resized(grid=2, steps=21)
     path = run_sweep(config, tmp_path / "out.csv")
     assert path.read_bytes() == _joined_sweep_bytes(config)
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
@@ -706,8 +714,7 @@ def test_trajectories_share_one_record_dtype(small_fig2):
 @pytest.mark.parametrize("preset, grid, steps", [("fig1", 5, 51), ("fig2", 5, 101)])
 def test_preset_classical_correlation_has_no_negative_zero(tmp_path, preset, grid, steps):
     # Product-state rows have J = 0 exactly; it must print as 0, not -0.
-    config = figure_preset(preset)
-    config = dataclasses.replace(config, axis=dataclasses.replace(config.axis, count=grid), steps=steps)
+    config = figure_preset(preset).resized(grid, steps)
     path = run_sweep(config, tmp_path / f"{preset}.csv")
     column = CSV_COLUMNS.index("classical_corr_bits")
     printed = [line.split(",")[column] for line in path.read_text().splitlines()[1:]]
@@ -717,12 +724,7 @@ def test_preset_classical_correlation_has_no_negative_zero(tmp_path, preset, gri
 
 
 def test_run_sweep_family_major_ordering(tmp_path):
-    config = figure_preset("fig4")
-    config = dataclasses.replace(
-        config,
-        axis=dataclasses.replace(config.axis, count=3),
-        steps=3,
-    )
+    config = figure_preset("fig4").resized(grid=3, steps=3)
     path = run_sweep(config, tmp_path / "fig4.csv")
     header, data = read_sweep_csv(path)
     assert data.shape == (2 * 3 * 3, len(CSV_COLUMNS))
