@@ -2,7 +2,8 @@
 """Summarize a sweep CSV: sudden-death times, discord zeros, revivals.
 
 Reads a file produced by `discordsim sweep` (or make_figure_data.py),
-groups rows into trajectories, and prints one line per trajectory with
+splits its rows into trajectories, a new one wherever the time does not
+increase, and prints one line per trajectory with its index in the file,
 the entanglement death time (if any), the detected discord-zero times,
 and the post-zero revival amplitude.
 
@@ -34,19 +35,13 @@ def main() -> int:
     args = parser.parse_args()
 
     _, data = read_sweep_csv(args.csv)
-    # one trajectory = one run of identical (alpha_sq, r, lambda_ratio);
-    # NaNs (raw-state trajectories) compare equal via their bit pattern
-    keys = data[:, 1:4]
-    boundaries = [
-        i
-        for i in range(len(data))
-        if i == 0 or not np.array_equal(keys[i], keys[i - 1], equal_nan=True)
-    ] + [len(data)]
+    t = data[:, 0]
+    trajectories = np.split(data, np.flatnonzero(t[1:] <= t[:-1]) + 1) if len(data) else []
 
-    print(f"{'alpha_sq':>10} {'r':>6} {'lam':>6}  {'death':>8}  zeros / revival")
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        traj = trajectory_from_csv_rows(data[lo:hi])
-        alpha_sq, r, lam = data[lo, 1:4]
+    print(f"{'traj':>4} {'alpha_sq':>10} {'r':>6} {'lam':>6}  {'death':>8}  zeros / revival")
+    for index, rows in enumerate(trajectories):
+        traj = trajectory_from_csv_rows(rows)
+        alpha_sq, r, lam = rows[0, 1:4]
         report = detect_esd(traj)
         zeros = detect_discord_zeros(traj)
         try:
@@ -56,7 +51,7 @@ def main() -> int:
         death = "-" if report.esd_time is None else f"{report.esd_time:.3f}"
         zeros_text = ", ".join(f"{z:.3f}" for z in zeros) or "none"
         print(
-            f"{alpha_sq:>10.4f} {r:>6.3f} {lam:>6.3f}  {death:>8}  "
+            f"{index:>4} {alpha_sq:>10.4f} {r:>6.3f} {lam:>6.3f}  {death:>8}  "
             f"[{zeros_text}] / {revival}"
         )
     return 0

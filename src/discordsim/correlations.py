@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _DISCORD_TOL = 1e-9  # round-off of I - J: a discord within -this of 0 is 0
-_ZERO_EIG = 1e-14  # eigenvalues/probabilities below this contribute 0 log 0 = 0
 _SEED_GRID_N = 64
 # Compass refinement: a start moves only for a gain above round-off, doubling
 # its step after a move and halving it after a miss; without both rules,
@@ -136,10 +135,10 @@ class MeasurementBasis:
 def _xlog2x(
     x: np.ndarray, out: np.ndarray | None = None, drop: np.ndarray | None = None, arg: np.ndarray | None = None
 ) -> np.ndarray:
-    """Elementwise x log2 x, with 0 log 0 = +0.0 for entries at or below _ZERO_EIG
-    and NaN; written into ``out``, with the mask ``drop`` and the argument ``arg``
+    """Elementwise x log2 x, with 0 log 0 = +0.0 for entries at or below 0 and
+    NaN; written into ``out``, with the mask ``drop`` and the argument ``arg``
     as scratch, when these buffers are given.  ``x`` is left unchanged."""
-    drop = np.logical_not(np.greater(x, _ZERO_EIG, out=drop), out=drop)
+    drop = np.logical_not(np.greater(x, 0.0, out=drop), out=drop)
     arg = np.fmax(x, drop, out=arg)  # dropped entries become 1.0, whose term is +0.0
     return np.multiply(np.log2(arg, out=out), arg, out=out)
 
@@ -407,7 +406,7 @@ def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Q
     """Average entropy of the unmeasured qubit after measuring the other.
 
     Sum of p_i * S(rho_{X|i}) over the two outcomes; eigenvalues and
-    probabilities below 1e-14 contribute zero.
+    probabilities at or below 0 contribute zero.
     """
     ev = _GainEvaluator(_stack_of_one(rho), measured)
     gain = ev([0], _projector_rows(np.array([[basis.theta]]), np.array([[basis.phi]])))

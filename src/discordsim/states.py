@@ -41,8 +41,8 @@ class DensityMatrix:
 
     Construction checks that every entry is finite, hermiticity and unit
     trace to 1e-12 and positivity to -1e-10 on the eigenvalues.  Entries are
-    stored exactly as given (read-only); eigenvalue consumers clip round-off
-    negatives at the point of use.
+    stored exactly as given (read-only); `spectra` gives the eigenvalues
+    unclipped, and an entropy counts an eigenvalue at or below 0 as 0.
     """
 
     mat: np.ndarray
@@ -53,10 +53,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues with (-1e-10, 0) round-off clipped to zero."""
-        return np.clip(spectra(self.mat), 0.0, None)
 
 
 _NON_X = ([0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2])  # (rows, columns) an X state holds at 0

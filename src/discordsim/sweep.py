@@ -47,14 +47,15 @@ __all__ = [
     "read_sweep_csv",
     "trajectory_from_csv_rows",
     "CSV_COLUMNS",
-    "DEFAULT_ESD_THRESHOLD",
-    "DEFAULT_ESD_DWELL",
-    "DEFAULT_ZERO_THRESHOLD",
 ]
 
-DEFAULT_ESD_THRESHOLD = 1e-9
-DEFAULT_ESD_DWELL = 0.5
-DEFAULT_ZERO_THRESHOLD = 1e-3
+# Concurrence below this is dead; a death must dwell there this long (in units
+# of 1/gamma0).
+_ESD_THRESHOLD = 1e-9
+_ESD_DWELL = 0.5
+
+# A discord zero is a dip below this.
+_ZERO_THRESHOLD = 1e-3
 
 # Discord values below this are exact zeros up to arithmetic noise; runs of
 # them are reported as intervals rather than as individual minima.
@@ -314,29 +315,25 @@ def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.append(starts[1:] - 1, x.size - 1)
 
 
-def detect_esd(
-    traj: np.recarray,
-    threshold: float = DEFAULT_ESD_THRESHOLD,
-    dwell_window: float = DEFAULT_ESD_DWELL,
-) -> EsdReport:
+def detect_esd(traj: np.recarray) -> EsdReport:
     """Find sudden death of entanglement and any revivals after it.
 
-    Death is a below-threshold stretch of concurrence that lasts at least
-    ``dwell_window`` and contains an exactly zero value — the spin-flip
+    Death is a stretch of concurrence below 1e-9 that lasts at least 0.5 (in
+    units of 1/gamma0) and contains an exactly zero value — the spin-flip
     formula clamps genuinely dead states to 0.0, while an asymptotically
     decaying tail stays strictly positive no matter how small it gets, so
     the exactness test separates true death from slow decay.  The death
     time is the start of the first such stretch; revival intervals are the
-    above-threshold stretches after it.
+    stretches at or above 1e-9 after it.
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     t, c = traj.t, traj.concurrence
-    below = c < threshold
+    below = c < _ESD_THRESHOLD
     starts, ends = _runs(below)
     runs = list(zip(starts.tolist(), ends.tolist()))
     for k, (i0, i1) in enumerate(runs):
-        if below[i0] and t[i1] - t[i0] >= dwell_window and np.any(c[i0 : i1 + 1] == 0.0):
+        if below[i0] and t[i1] - t[i0] >= _ESD_DWELL and np.any(c[i0 : i1 + 1] == 0.0):
             esd_time = float(t[i0])
             revivals = [(float(t[j0]), float(t[j1])) for j0, j1 in runs[k + 1 :] if not below[j0]]
             return EsdReport(esd_time=esd_time, revival_times=tuple(revivals))
@@ -376,12 +373,10 @@ def _prominent_dips(d: np.ndarray, min_prominence: float) -> list[tuple[int, int
     return dips
 
 
-def detect_discord_zeros(
-    traj: np.recarray, threshold: float = DEFAULT_ZERO_THRESHOLD
-) -> list[float]:
+def detect_discord_zeros(traj: np.recarray) -> list[float]:
     """Times where the discord touches zero and climbs out again.
 
-    Candidates are below-threshold local minima with prominence above the
+    Candidates are local minima below 1e-3 bits with prominence above the
     arithmetic-noise scale — the rise on both sides separates a genuine
     touch both from wiggle at the noise floor and from asymptotic decay
     into the end of the window, which has no rise at all.  Isolated minima
@@ -398,7 +393,7 @@ def detect_discord_zeros(
     zeros: list[float] = []
     for left, right in _prominent_dips(d, _MIN_PROMINENCE):
         i = (left + right) // 2
-        if d[i] >= threshold:
+        if d[i] >= _ZERO_THRESHOLD:
             continue
         if right > left:
             zeros.append(float(t[left]))
@@ -410,11 +405,9 @@ def detect_discord_zeros(
     return sorted(zeros)
 
 
-def revival_amplitude(
-    traj: np.recarray, threshold: float = DEFAULT_ZERO_THRESHOLD
-) -> float:
+def revival_amplitude(traj: np.recarray) -> float:
     """Largest discord strictly after its first zero, in bits."""
-    zeros = detect_discord_zeros(traj, threshold)
+    zeros = detect_discord_zeros(traj)
     if not zeros:
         raise NoRevivalError("no discord zero in the trajectory")
     after = traj.discord[traj.t > zeros[0]]

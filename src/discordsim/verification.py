@@ -217,8 +217,8 @@ def criterion_3_esd_dichotomy() -> CheckResult:
     grid = np.linspace(0.0, 20.0, 401)
     low = evolve_trajectory(StateFamily(Family.PSI, 0.25, 1.0), p, grid)
     high = evolve_trajectory(StateFamily(Family.PSI, 0.75, 1.0), p, grid)
-    esd_low = detect_esd(low, 1e-9, 0.5).esd_time
-    esd_high = detect_esd(high, 1e-9, 0.5).esd_time
+    esd_low = detect_esd(low).esd_time
+    esd_high = detect_esd(high).esd_time
     d_low = min(r.discord for r in low if r.t < 10.0)
     d_high = min(r.discord for r in high if r.t < 10.0)
     ok = (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ def run_cli(*args, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+def run_script(name, *args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True)
 
 
 def test_version_flag():
@@ -265,3 +271,24 @@ def test_verify_reports_a_raising_check_and_runs_the_rest(monkeypatch, capsys):
     assert lines[1].split() == ["FAIL", "check_that_raises", "raised", "RuntimeError:", "no", "discord", "zero"]
     assert lines[2].startswith("PASS  werner-values")
     assert lines[3] == "2/3 checks passed, 1 FAILED"
+
+
+def test_summary_splits_trajectories_where_time_restarts(tmp_path):
+    # fig4 holds a PHI and a PSI block over the same r values, so only the
+    # restart of t tells its trajectories apart; one trajectory's rows written
+    # twice are two trajectories.
+    proc = run_script("make_figure_data.py", "--only", "fig4", "--grid", "2", "--steps", "5", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    fig4 = tmp_path / "fig4.csv"
+    proc = run_script("summarize_features.py", str(fig4))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()[1:]
+    assert [line.split()[:3] for line in lines] == [
+        [str(k), "0.5000", r] for k, r in enumerate(["0.000", "1.000"] * 2)
+    ]
+    header, *rows = fig4.read_text().splitlines()
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join([header, *rows[:5], *rows[:5]]) + "\n")
+    proc = run_script("summarize_features.py", str(twice))
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == ["0", "1"]

@@ -17,10 +17,12 @@ from discordsim import (
     DensityMatrix,
     MeasurementBasis,
     Qubit,
+    ReservoirParams,
     brute_force_classical_correlation,
     classical_correlation,
     concurrence,
     conditional_entropy,
+    evolve_trajectory,
     mutual_information,
     partial_trace,
     pure_state,
@@ -38,7 +40,6 @@ from discordsim.correlations import (
     _SEED_GRID_N,
     _STARTS_PER_CALL,
     _STEP_TOL,
-    _ZERO_EIG,
     _BlochWork,
     _GainEvaluator,
     _grid_rows,
@@ -118,20 +119,21 @@ def test_entropy_additive_on_products(rng):
 
 
 def _masked_xlog2x(x):
-    """x log2 x with masked ufuncs, 0 where x is at or below _ZERO_EIG or NaN."""
-    keep = x > _ZERO_EIG
+    """x log2 x with masked ufuncs, 0 where x is at or below 0 or NaN."""
+    keep = x > 0.0
     out = np.log2(x, out=np.zeros(x.shape), where=keep)
     return np.multiply(out, x, out=out, where=keep)
 
 
 def test_xlog2x_matches_the_masked_form(rng):
-    # Entries at or below _ZERO_EIG, NaN and -0.0 included, must give +0.0
-    # as the masked form does, sign bit included, whatever the buffers held.
-    cut = [np.nextafter(_ZERO_EIG, 0.0), _ZERO_EIG, np.nextafter(_ZERO_EIG, 1.0)]
-    special = cut + [0.0, -0.0, -1e-300, -1e-17, -1e-14, -1e-10, 1e-300, 1e-13, 0.5, 1.0, np.nan]
+    # Entries at or below 0, NaN and -0.0 included, must give +0.0 as the
+    # masked form does, sign bit included, whatever the buffers held; the
+    # smallest subnormals and the former 1e-14 cut count like any positive x.
+    tiny = [np.nextafter(0.0, 1.0), 2 * np.nextafter(0.0, 1.0), np.nextafter(1e-14, 0.0), 1e-14, 1e-300]
+    special = tiny + [0.0, -0.0, -1e-300, -1e-17, -1e-14, -1e-10, 1e-13, 0.5, 1.0, np.nan]
     spectra_ = rng.dirichlet(np.ones(4), 100)
     spectra_[rng.random(spectra_.shape) < 0.2] = 0.0
-    x = np.concatenate([special, rng.uniform(-1e-10, 0.0, 98), 10.0 ** rng.uniform(-20.0, 0.0, 400), spectra_.ravel()])
+    x = np.concatenate([special, rng.uniform(-1e-10, 0.0, 97), 10.0 ** rng.uniform(-20.0, 0.0, 400), spectra_.ravel()])
     x = x[rng.permutation(x.size)].reshape(3, 2, -1)
     want = _masked_xlog2x(x).view(np.int64)
     kept = x.copy()
@@ -208,7 +210,7 @@ def explicit_conditional_entropy(rho, basis, measured):
         block = np.einsum("abcb->ac", post) if measured is Qubit.B else np.einsum("abad->bd", post)
         eigs = np.linalg.eigvalsh(block)
         p = eigs.sum()
-        eigs = eigs[eigs > 1e-14]
+        eigs = eigs[eigs > 0.0]
         total -= float(np.sum(eigs * np.log2(eigs / p)))
     return total
 
@@ -723,13 +725,16 @@ _X_KINDS = {
 }
 
 
+_ROOT_CUT = 1e-14  # the concurrence oracle's square-root cut; no entropy uses it
+
+
 def _wootters(stack):
     """Wootters concurrence as concurrence_stack's general path takes it, but with
-    eigenvalues of rho below _ZERO_EIG taken as zero.  Their square roots lift
-    round-off to up to ~1e-8 on rank-2 X states with rho_22 = 0 and rho_14 on
-    its positivity edge, where the closed form is exact."""
+    eigenvalues of rho at or below _ROOT_CUT taken as zero.  Their square roots
+    lift round-off to up to ~1e-8 on rank-2 X states with rho_22 = 0 and rho_14
+    on its positivity edge, where the closed form is exact."""
     w, v = np.linalg.eigh(stack)
-    root = (v * np.sqrt(np.where(w > _ZERO_EIG, w, 0.0))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    root = (v * np.sqrt(np.where(w > _ROOT_CUT, w, 0.0))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     flip = correlations._SPIN_FLIP
     s = np.linalg.svd(root @ flip @ root.conj() @ flip, compute_uv=False)
     return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
@@ -790,16 +795,42 @@ _J_KINDS = (_x_state, _edge_x_state, _evolved_family_state, _tail_family_state)
 @given(measured=st.sampled_from([Qubit.A, Qubit.B]), seed=st.integers(0, 2**32 - 1))
 def test_property_x_classical_correlation_matches_the_exact_reference(measured, seed):
     # J and D of one state of each kind against xref's 50-digit maximum of the
-    # gain over c = n_z.  On tail states an eigenvalue near the 1e-14 cut may
-    # fall on the other side of it in floats, which moves an outcome's entropy
-    # by up to 4.65e-13 bits.
+    # gain over c = n_z.
     rng = np.random.default_rng(seed)
     stack = np.stack([make(rng) for make in _J_KINDS])
     refs = [x_discord_reference(*m[range(4), range(4)].real, m[0, 3], m[1, 2], measured is Qubit.B) for m in stack]
     j_ref, d_ref = np.array(refs).T
     j = classical_correlation_stack(stack, measured)[0]
-    assert np.max(np.abs(j - j_ref)) <= 1e-12
-    assert np.max(np.abs(discord_from_parts(mutual_information_stack(stack), j) - d_ref)) <= 1e-12
+    assert np.max(np.abs(j - j_ref)) <= 1e-13
+    assert np.max(np.abs(discord_from_parts(mutual_information_stack(stack), j) - d_ref)) <= 1e-13
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    family=st.sampled_from(list(Family)),
+    alpha_sq=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+    lambda_ratio=st.floats(0.01, 100.0),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    product=st.booleans(),
+)
+# fig1's tail (lambda/gamma0 = 10): with eigenvalues at or below 1e-14 counted
+# as 0, J exceeded I there by up to 3.4e-13 and the alpha^2 = 0 product state
+# gave I up to 4.6e-13.
+@example(family=Family.PSI, alpha_sq=0.5, r=1.0, lambda_ratio=10.0, measured=Qubit.B, product=False)
+@example(family=Family.PSI, alpha_sq=0.0, r=1.0, lambda_ratio=10.0, measured=Qubit.B, product=True)
+def test_property_family_trajectories_keep_j_within_i(family, alpha_sq, r, lambda_ratio, measured, product):
+    # Along a family trajectory into the vacuum tail, J stays within round-off
+    # of I; a product state (alpha^2 in {0, 1}, r = 1) stays one under the
+    # channel, so I, J and D stay at round-off.
+    if product:
+        alpha_sq, r = float(round(alpha_sq)), 1.0
+    traj = evolve_trajectory(
+        StateFamily(family, alpha_sq, r), ReservoirParams(lambda_ratio), np.linspace(0.0, 40.0, 401), measured
+    )
+    assert np.max(traj.classical_corr - traj.mutual_info) <= 5e-14
+    if product:
+        assert max(traj.mutual_info.max(), traj.classical_corr.max(), traj.discord.max()) <= 5e-14
 
 
 @pytest.mark.parametrize("entry", range(8))
@@ -869,7 +900,7 @@ def _allocating_bloch_gains(ev, states, dirs):
     np.add(p, half_r, out=terms[1])
     np.subtract(p, half_r, out=terms[2])
     terms[1:] *= 0.5
-    keep = terms > _ZERO_EIG
+    keep = terms > 0.0
     logs = np.log2(terms, out=np.zeros(terms.shape), where=keep)
     terms = np.multiply(logs, terms, out=logs, where=keep)
     entropy = np.maximum(terms[0] - terms[1] - terms[2], 0.0)
@@ -978,8 +1009,8 @@ def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed)
     # Levels below _STEP_TOL are evaluated but must never commit.  The
     # in-place arithmetic must repeat the allocating one bit for bit.
     # Classical-quantum states leave pure conditional states near their
-    # optimum, whose eigenvalues below _ZERO_EIG the masked log2 must count as
-    # 0 log 0 = 0 whatever an earlier round left there.
+    # optimum, whose round-off eigenvalues at or below 0 the masked log2 must
+    # count as 0 log 0 = 0 whatever an earlier round left there.
     rng = np.random.default_rng(seed)
     kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
     stack = np.stack([kinds[kind](rng) for kind in rng.choice(sorted(kinds), n)])
@@ -1007,7 +1038,7 @@ def test_coarse_stop_tolerance_matches_allocating_rounds(monkeypatch, rng, measu
 def test_results_do_not_alias_the_compass_workspace(rng):
     # Each thread keeps one workspace for every call, so a call must not
     # read what an earlier one left there: classical-quantum states, whose
-    # pure conditional states put eigenvalues below _ZERO_EIG in the entropy
+    # pure conditional states put round-off eigenvalues around 0 in the entropy
     # terms, then full-rank states over all 64 rows, then the first again.
     classical_quantum = np.stack([_classical_quantum_state(rng) for _ in range(4)])
     full = np.stack([random_density(rng, 4).mat for _ in range(90)])

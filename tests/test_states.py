@@ -19,7 +19,7 @@ from discordsim import (
     two_qubit_evolve,
     von_neumann_entropy,
 )
-from discordsim.states import evolve_stack, validate_states
+from discordsim.states import evolve_stack, spectra, validate_states
 
 from conftest import random_density
 
@@ -237,7 +237,7 @@ def test_channel_preserves_state_invariants(rng):
         m = out.mat
         assert abs(m.trace() - 1.0) < 1e-12
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
-        assert out.eigenvalues()[0] >= 0.0
+        assert spectra(m)[0] > 0.0  # a full-rank state stays full rank for chi != 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,7 +47,7 @@ from discordsim.sweep import (
     _EXACT_ZERO,
     _MIN_PROMINENCE,
     _TRAJECTORY_DTYPE,
-    DEFAULT_ZERO_THRESHOLD,
+    _ZERO_THRESHOLD,
     _parabola_vertex,
     _prominent_dips,
     format_csv_rows,
@@ -362,7 +362,7 @@ def test_esd_requires_exact_zero_not_just_small():
 def test_esd_requires_dwell():
     ts = np.linspace(0.0, 10.0, 101)
     concs = [0.0 if 30 <= i <= 33 else 0.4 for i in range(101)]
-    report = detect_esd(synth(ts, concs=concs), dwell_window=0.5)
+    report = detect_esd(synth(ts, concs=concs))
     assert report.esd_time is None
 
 
@@ -435,7 +435,6 @@ def test_detectors_reject_empty_trajectory():
 def test_detectors_on_one_and_two_point_trajectories():
     one_dead = synth([2.0])
     assert detect_esd(one_dead) == EsdReport(None, ())  # shorter than the dwell window
-    assert detect_esd(one_dead, dwell_window=0.0) == EsdReport(2.0, ())
     assert detect_discord_zeros(one_dead) == [2.0, 2.0]
     with pytest.raises(NoRevivalError):
         revival_amplitude(one_dead)
@@ -452,8 +451,8 @@ def test_detectors_on_one_and_two_point_trajectories():
     two_alive = synth([0.0, 1.0], concs=[0.5, 0.4], discords=[0.3, 0.2])
     assert detect_esd(two_alive) == EsdReport(None, ())
     assert detect_discord_zeros(two_alive) == []
-    dead_then_alive = synth([0.0, 1.0], concs=[0.0, 0.4])
-    assert detect_esd(dead_then_alive, dwell_window=0.0) == EsdReport(0.0, ((1.0, 1.0),))
+    dead_then_alive = synth([0.0, 0.5, 1.0], concs=[0.0, 0.0, 0.4])  # dead for exactly the dwell window
+    assert detect_esd(dead_then_alive) == EsdReport(0.0, ((1.0, 1.0),))
 
 
 def test_detectors_run_without_scipy():
@@ -508,7 +507,7 @@ def test_prominent_dips_match_find_peaks(d, prominence):
     assert [(first + last) // 2 for first, last in dips] == peaks.tolist()
 
 
-def _find_peaks_discord_zeros(traj, threshold=DEFAULT_ZERO_THRESHOLD):
+def _find_peaks_discord_zeros(traj):
     """detect_discord_zeros written with scipy's find_peaks, as an oracle."""
     t, d = traj.t, traj.discord
     if bool(np.all(d < _EXACT_ZERO)):
@@ -516,7 +515,7 @@ def _find_peaks_discord_zeros(traj, threshold=DEFAULT_ZERO_THRESHOLD):
     peaks, props = find_peaks(-d, prominence=_MIN_PROMINENCE, plateau_size=(1, None))
     zeros = []
     for k, i in enumerate(peaks):
-        if d[i] >= threshold:
+        if d[i] >= _ZERO_THRESHOLD:
             continue
         left = int(props["left_edges"][k])
         right = int(props["right_edges"][k])

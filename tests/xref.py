@@ -13,7 +13,7 @@ of the library's definitions for those floats up to one final rounding:
 - the eigenvalues (a + d)/2 -+ sqrt(((a - d)/2)^2 + |z|^2) of each block
   [[a, z], [z*, d]];
 - the entropies S(AB), S(A) and S(B) in bits, where an eigenvalue at or below
-  1e-14 contributes 0, as the library's 0 log 0 = 0 rule has it;
+  0 contributes 0, as the library's 0 log 0 = 0 rule has it;
 - the classical correlation J and the discord D = I - J (``x_discord_reference``).
 
 On an X state the information gain of a measurement along the Bloch direction
@@ -32,7 +32,6 @@ PRA 83, 012327, 2011).
 from decimal import Decimal, localcontext
 
 DIGITS = 50
-_ZERO_EIG = Decimal("1e-14")
 
 
 def _abs(z: complex) -> Decimal:
@@ -50,7 +49,7 @@ with localcontext() as _ctx:
 
 
 def _entropy(eigs) -> Decimal:
-    return -sum((e * e.ln() / _LN2 for e in eigs if e > _ZERO_EIG), Decimal(0))
+    return -sum((e * e.ln() / _LN2 for e in eigs if e > 0), Decimal(0))
 
 
 _GRID = 128  # cells of the c grid
