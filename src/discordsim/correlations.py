@@ -18,7 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .states import _POSITIVITY_TOL, DensityMatrix, Qubit, is_x_stack, reduced_states, require_qubit, spectra
+from .states import (
+    _POSITIVITY_TOL, DensityMatrix, Qubit, is_x_stack, reduced_states, require_finite, require_qubit, spectra,
+)
 
 __all__ = [
     "MeasurementBasis",
@@ -68,8 +70,13 @@ _TABLE_PICK = np.stack([np.full(len(_MOVES), 4 * _N_OFFSETS), _PHI_PICK + 3 * _N
 # No evaluator call holds more (state, angle) pairs than half a seed grid, so
 # peak memory does not grow with the number of states in a stack, and a
 # workspace caches views of at most 64 compass shapes besides the seeds' one.
+# States go through the seed pick 8 at a time, one (8, 2048) block of gains,
+# and through the compass 128 at a time: their 384 starts' slot rows (114 KB)
+# stay below glibc's 128 KiB mmap threshold, so compacting them maps no pages.
 _PAIRS_PER_CALL = _SEED_GRID_N**2 // 2
 _STARTS_PER_CALL = _PAIRS_PER_CALL // len(_MOVES)
+_SEED_CHUNK = 8
+_COMPASS_CHUNK = 128
 
 
 def canonical_angles(theta, phi):
@@ -166,10 +173,11 @@ def mutual_information_stack(stack: np.ndarray) -> np.ndarray:
     Subadditivity makes the true value nonnegative; round-off undershoot
     within -1e-10 is clamped to 0.
     """
+    require_finite(stack)
     s_a = _entropy_bits(spectra(reduced_states(stack, Qubit.A)))
     s_b = _entropy_bits(spectra(reduced_states(stack, Qubit.B)))
     mi = s_a + s_b - _entropy_bits(spectra(stack))
-    if mi.min() < -1e-10:
+    if mi.min(initial=0.0) < -1e-10:
         raise ValueError(f"mutual information {mi.min()} below round-off floor")
     return np.maximum(0.0, mi)
 
@@ -228,12 +236,13 @@ class _GainEvaluator:
         np.subtract(self.reduced.take(states, axis=0), blocks, out=blocks)  # second outcome
         return gain - _weighted_entropy(blocks)
 
-    def gains(self, states: np.ndarray | list[int], dirs: np.ndarray, w: SimpleNamespace) -> np.ndarray:
-        """Gains (n, k) of the states with indices ``states`` for their direction
-        rows (n, 4, k), or for rows (4, k) shared by all, computed in the buffers
-        ``w`` of a _BlochWork, which hold the result (``w.gain``) until their next use."""
-        np.take(self.coef, states, axis=0, out=w.coef, mode="clip")  # "raise" would copy
-        np.matmul(w.coef, dirs, out=w.m)
+    @staticmethod
+    def gains(coef: np.ndarray, s_x: np.ndarray, dirs: np.ndarray, w: SimpleNamespace) -> np.ndarray:
+        """Gains (n, k) of n states, given as rows of ``coef`` (n, 8, 4) and of
+        ``s_x`` (n,), for their direction rows (n, 4, k), or for rows (4, k)
+        shared by all, computed in the buffers ``w`` of a _BlochWork, which hold
+        the result (``w.gain``) until their next use."""
+        np.matmul(coef, dirs, out=w.m)
         np.square(w.m_vec, out=w.sq)
         sq_x, sq_y, sq_z = w.sq_xyz
         half_r = np.add(sq_x, sq_y, out=w.half_r)
@@ -250,16 +259,17 @@ class _GainEvaluator:
         entropy = np.subtract(log_p, log_plus, out=w.entropy)  # p S(M/p) per outcome
         np.subtract(entropy, log_minus, out=entropy)
         np.maximum(entropy, 0.0, out=entropy)
-        np.take(self.s_x, states, out=w.s_x, mode="clip")
         first, second = w.entropy_split
-        gain = np.subtract(w.s_x_col, first, out=w.gain)
+        gain = np.subtract(s_x[:, None], first, out=w.gain)
         return np.subtract(gain, second, out=gain)
 
 
 class _BlochWork:
     """Buffers for the Bloch gains of up to ``size`` rows of ``d`` directions
     each, reused by the seeds and every compass round; a compass row is one
-    start's trials at all its step sizes.
+    start's trials at all its step sizes.  ``slots`` holds one row per
+    unfinished start of a compass chunk: its 32 coefficients, S(X), theta, phi,
+    value and step.  ``seed_gains`` holds the gains of a seed chunk's states.
 
     ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
@@ -275,10 +285,38 @@ class _BlochWork:
     def __init__(self, size: int, d: int):
         self.d = d
         self.flat = {name: np.empty(size * d * n) for name, n in self._SIZES.items()}
-        self.flat |= {"coef": np.empty(size * 32), "s_x": np.empty(size), "drop": np.empty(size * d * 6, bool),
-                      "angles": np.empty(size * 2 * _N_OFFSETS), "table": np.empty(size * self._TABLE)}
+        self.flat |= {"drop": np.empty(size * d * 6, bool), "angles": np.empty(size * 2 * _N_OFFSETS),
+                      "table": np.empty(size * self._TABLE)}
         self.flat["table"].reshape(size, self._TABLE)[:, -1] = 1.0
-        self.views = {}
+        self.slots = np.empty((3 * _COMPASS_CHUNK, 32 + 5))
+        self.best = np.empty((len(self.slots), _HALVINGS), dtype=int)
+        self.top = np.empty((len(self.slots), _HALVINGS))
+        self.level_rows = np.arange(0, len(self.slots) * _HALVINGS, _HALVINGS)
+        # Flat index of each (start, level)'s first trial in a call's gains.
+        self.trial_rows = np.arange(0, _PAIRS_PER_CALL, len(_COMPASS)).reshape(-1, _HALVINGS)
+        self.seed_gains = np.empty((_SEED_CHUNK, _SEED_DIRS.shape[1]))
+        self.views, self.slot_views = {}, {}
+
+    def live(self, k: int) -> SimpleNamespace:
+        """Views, cached per k like those of ``at``, of the first k slot rows
+        (the unfinished starts) by field, of their best trial and its gain per
+        level, and ``calls``: for each evaluator call of up to
+        _STARTS_PER_CALL rows, its buffers and its share of those views."""
+        if (s := self.slot_views.get(k)) is None:
+            slots = self.slots[:k]
+            s = self.slot_views[k] = SimpleNamespace(
+                slots=slots, coef=slots[:, :32].reshape(k, 8, 4), s_x=slots[:, 32],
+                result=slots[:, 33:36], point=slots[:, 33:35], value=slots[:, 35], step=slots[:, 36],
+                best=self.best[:k], top=self.top[:k], level_rows=self.level_rows[:k],
+            )
+            s.value_col, s.step_col = s.value[:, None], s.step[:, None]
+            s.calls = []
+            for lo in range(0, k, _STARTS_PER_CALL):
+                rows = slice(lo, lo + _STARTS_PER_CALL)
+                n = len(s.step[rows])
+                s.calls.append((self.at(n), s.point[rows], s.step[rows], s.coef[rows], s.s_x[rows],
+                                s.best[rows], s.top[rows], self.trial_rows[:n]))
+        return s
 
     def at(self, k: int, d: int | None = None) -> SimpleNamespace:
         d = d or self.d
@@ -289,10 +327,10 @@ class _BlochWork:
 
             w = self.views[k, d] = SimpleNamespace(
                 angles=view("angles", k, 2, _N_OFFSETS), table=view("table", k, self._TABLE),
-                dirs=view("dirs", k, 4, d), s2=view("s2", k, d), coef=view("coef", k, 8, 4),
+                dirs=view("dirs", k, 4, d), s2=view("s2", k, d),
                 m=view("m", k, 8, d), half_r=view("half_r", k, 2, d), terms=view("terms", 3, k, 2, d),
                 drop=view("drop", 3, k, 2, d), logs=view("logs", 3, k, 2, d), arg=view("arg", 3, k, 2, d),
-                entropy=view("entropy", k, 2, d), s_x=view("s_x", k), gain=view("gain", k, d),
+                entropy=view("entropy", k, 2, d), gain=view("gain", k, d),
             )
             m = w.m.reshape(k, 2, 4, d)  # (row, outcome, (m0, m), direction)
             w.m_0, w.m_vec = m[:, :, 0], m[:, :, 1:]
@@ -304,7 +342,6 @@ class _BlochWork:
             w.n_xy, w.s2_col = w.dirs[:, 1:3], w.s2[:, None]
             w.terms_split, w.eigs, w.logs_split = tuple(w.terms), w.terms[1:], tuple(w.logs)
             w.entropy_split = w.entropy[:, 0], w.entropy[:, 1]
-            w.s_x_col = w.s_x[:, None]
         return w
 
 
@@ -315,7 +352,8 @@ _THREAD = threading.local()
 
 def _thread_work() -> _BlochWork:
     """This thread's workspace, one seed table wide (64 compass rows of 32
-    directions, about 0.7 MB), built on its first use."""
+    directions), with slots for 384 compass starts and a block for 8 states'
+    seed gains, about 1.0 MB; built on its first use."""
     try:
         return _THREAD.work
     except AttributeError:
@@ -390,16 +428,78 @@ _SEED_DIRS = _seed_directions()  # built once per process
 
 def _top_seeds(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
     """Grid indices (n, 3) of each state's three best seeds, best first, and their
-    gains; one product against the whole table per state."""
-    n = ev.s_x.size
+    gains; one product against the whole table per state, one pick per chunk
+    of states."""
+    n, k = ev.s_x.size, _SEED_DIRS.shape[1]
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
-    w = work.at(1, _SEED_DIRS.shape[1])
-    for i in range(n):
-        gain = ev.gains([i], _SEED_DIRS, w)[0]
-        top = np.argpartition(gain, -3)[-3:]
-        order[i] = top[np.argsort(gain[top])[::-1]]
-        value[i] = gain[order[i]]
+    w = work.at(1, k)
+    rows = np.arange(_SEED_CHUNK)[:, None]
+    for lo in range(0, n, _SEED_CHUNK):
+        block = work.seed_gains[: n - lo]
+        c = len(block)
+        for i, gain in enumerate(block, lo):
+            gain[...] = _GainEvaluator.gains(ev.coef[i : i + 1], ev.s_x[i : i + 1], _SEED_DIRS, w)[0]
+        # Flat indices into the block and into its (c, 3) candidates; take_along_axis costs more.
+        top = np.argpartition(block, -3, axis=1)[:, -3:] + rows[:c] * k
+        top = top.take(np.argsort(block.take(top), axis=1)[:, ::-1] + rows[:c] * 3)
+        order[lo : lo + c] = top - rows[:c] * k
+        value[lo : lo + c] = block.take(top)
     return order, value
+
+
+def _compass_round(s: SimpleNamespace) -> None:
+    """Advance every start in the slot views ``s`` by one round, in place.
+
+    A start commits the first of its _HALVINGS step sizes at or above
+    _STEP_TOL whose best trial beats its value by more than _MIN_IMPROVEMENT,
+    and doubles that step; a start that commits none divides its step by
+    2**_HALVINGS.  Masked copies commit the moves from the operands that
+    updates of the moved starts alone would take, so the values are the same.
+    """
+    for w, point, step, coef, s_x, best, top, trial_rows in s.calls:
+        dirs = _trial_directions(point, step, w)
+        trial_gain = _GainEvaluator.gains(coef, s_x, dirs, w).reshape(-1, _HALVINGS, len(_COMPASS))
+        trial_gain.argmax(axis=2, out=best)
+        np.take(trial_gain, best + trial_rows, out=top)  # max(axis=2) costs several times more
+    levels = s.step_col * _LEVEL_SCALE
+    hit = (s.top > s.value_col + _MIN_IMPROVEMENT) & (levels >= _STEP_TOL)
+    pick = hit.argmax(axis=1) + s.level_rows  # flat index of the first level that moved, else of level 0
+    moved, step = hit.take(pick), levels.take(pick)
+    np.copyto(s.value, s.top.take(pick), where=moved)
+    np.add(s.point, step[:, None] * _COMPASS.take(s.best.take(pick), axis=0), out=s.point, where=moved[:, None])
+    np.multiply(s.step, 0.5**_HALVINGS, out=s.step)
+    np.multiply(step, 2.0, out=s.step, where=moved)
+
+
+def _compass_starts(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
+    """Final points (3n, 2), unfolded, and values (3n,) of every compass start;
+    rows 3i to 3i + 2 start at state i's three best seeds, best first.
+
+    A chunk of states loads its starts into the workspace's slots and runs
+    rounds until each start's step falls below _STEP_TOL; a round that stops
+    starts writes them out and compacts the others in place.
+    """
+    order, value = _top_seeds(ev, work)
+    thetas, phis = _angle_axes(_SEED_GRID_N)
+    final = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N], value], axis=-1).reshape(-1, 3)
+    for lo in range(0, ev.s_x.size, _COMPASS_CHUNK):
+        states = slice(lo, lo + _COMPASS_CHUNK)
+        live = np.arange(3 * lo, 3 * lo + 3 * ev.s_x[states].size)  # the slots' starts
+        s = work.live(live.size)
+        s.coef.reshape(-1, 3, 8, 4)[...] = ev.coef[states, None]  # each state's rows to its three starts
+        s.s_x.reshape(-1, 3)[...] = ev.s_x[states, None]
+        s.result[...] = final[live]
+        s.step[...] = 0.5
+        while live.size:
+            _compass_round(s)
+            keep = s.step >= _STEP_TOL
+            if np.count_nonzero(keep) == live.size:  # all() costs three times more
+                continue
+            final[live[~keep]] = s.result[~keep]
+            live, kept = live[keep], s.slots[keep]
+            s = work.live(live.size)
+            s.slots[...] = kept
+    return final[:, :2], final[:, 2]
 
 
 def conditional_entropy(rho: DensityMatrix, basis: MeasurementBasis, measured: Qubit = Qubit.B) -> float:
@@ -433,41 +533,13 @@ def classical_correlation_stack(
     for each state of a stack.
 
     Each state's best three seeds of a 64x64 angle grid start a compass search;
-    every round advances the unfinished starts of all states together, each
-    by up to _HALVINGS step sizes.  The arithmetic runs in this thread's
+    every round advances the unfinished starts of a chunk of states together,
+    each by up to _HALVINGS step sizes.  The arithmetic runs in this thread's
     workspace; the results are fresh arrays.
     """
-    ev = _GainEvaluator(stack, measured)
-    n = ev.s_x.size
-    work = _thread_work()
-    order, value = _top_seeds(ev, work)
-    thetas, phis = _angle_axes(_SEED_GRID_N)
-    point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
-    value, owner = value.ravel(), np.repeat(np.arange(n), 3)
-    live, step = np.arange(3 * n), np.full(3 * n, 0.5)  # unfinished starts and their steps
-    while live.size:
-        best, top = np.empty((live.size, _HALVINGS), dtype=int), np.empty((live.size, _HALVINGS))
-        for lo in range(0, live.size, _STARTS_PER_CALL):
-            rows = slice(lo, lo + _STARTS_PER_CALL)
-            c = live[rows]
-            w = work.at(c.size)
-            dirs = _trial_directions(point.take(c, axis=0), step[rows], w)
-            trial_gain = ev.gains(owner.take(c), dirs, w).reshape(c.size, _HALVINGS, len(_COMPASS))
-            trial_gain.argmax(axis=2, out=best[rows])
-            trial_gain.max(axis=2, out=top[rows])
-        levels = step[:, None] * _LEVEL_SCALE
-        hit = (top > value.take(live)[:, None] + _MIN_IMPROVEMENT) & (levels >= _STEP_TOL)
-        moved = np.flatnonzero(hit.any(axis=1))
-        level = hit[moved].argmax(axis=1)  # a start commits the first of its levels that moved
-        moved_step = levels[moved, level]
-        step *= 0.5**_HALVINGS
-        step[moved] = 2.0 * moved_step
-        value[live[moved]] = top[moved, level]
-        point[live[moved]] += moved_step[:, None] * _COMPASS[best[moved, level]]
-        keep = step >= _STEP_TOL
-        live, step = live[keep], step[keep]
-
-    k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
+    require_finite(stack)
+    point, value = _compass_starts(_GainEvaluator(stack, measured), _thread_work())
+    k = value.reshape(-1, 3).argmax(axis=1) + np.arange(0, value.size, 3)
     return (np.maximum(value[k], 0.0), *canonical_angles(point[k, 0], point[k, 1]))
 
 
@@ -511,6 +583,7 @@ def concurrence_stack(stack: np.ndarray) -> np.ndarray:
     singular values of sqrt(rho) sqrt(rho~), sqrt(rho~) = (sy x sy) sqrt(rho)*
     (sy x sy), with entrywise conjugation in the fixed basis.
     """
+    require_finite(stack)
     if is_x_stack(stack):
         r = np.sqrt(np.maximum(stack[:, range(4), range(4)].real, 0.0))
         c = np.maximum(np.abs(stack[:, 3, 0]) - r[:, 1] * r[:, 2], np.abs(stack[:, 2, 1]) - r[:, 0] * r[:, 3])

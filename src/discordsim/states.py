@@ -78,14 +78,20 @@ def spectra(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def require_finite(m: np.ndarray) -> None:
+    """Raise ValueError naming the first matrix of a stack (T, n, n) with a non-finite entry."""
+    if not np.isfinite(m).all():
+        bad = np.flatnonzero(~np.isfinite(m).reshape(len(m), -1).all(axis=1))[0]
+        raise ValueError(f"state {bad} of the stack has a non-finite entry")
+
+
 def validate_states(m) -> np.ndarray:
     """Read-only complex copy of a stack (T, n, n), n in {2, 4}, of density
     matrices, checked as `DensityMatrix` describes; the worst matrix is reported."""
     m = np.array(m, dtype=complex)
     if m.ndim != 3 or m.shape[1:] not in ((2, 2), (4, 4)):
         raise ValueError(f"density matrices must be 2x2 or 4x4, got a stack of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("density matrix has non-finite entries")
+    require_finite(m)
     herm_err = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
     if herm_err > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm_err:.3e})")

@@ -42,6 +42,7 @@ from discordsim.correlations import (
     _STEP_TOL,
     _BlochWork,
     _GainEvaluator,
+    _compass_starts,
     _grid_rows,
     _projector_rows,
     _thread_work,
@@ -566,6 +567,39 @@ def test_stack_rows_match_one_state_calls(rng):
         assert abs(total[k] - mutual_information(rho)) < 1e-12
 
 
+_STACK_KERNELS = {
+    "classical": classical_correlation_stack,
+    "concurrence": concurrence_stack,
+    "mutual_information": mutual_information_stack,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_KERNELS))
+def test_stack_kernels_reject_non_finite_states(rng, name):
+    # One check per call names the first bad state.  Without it one NaN
+    # gave J = 0 with no error, a NaN concurrence, a mutual-information floor
+    # error or a LinAlgError, depending on the kernel and the stack's shape.
+    kernel = _STACK_KERNELS[name]
+    with pytest.raises(ValueError, match=r"^state 0 of the stack has a non-finite entry$"):
+        kernel(np.full((1, 4, 4), np.nan))
+    full = np.stack([random_density(rng, 4).mat for _ in range(4)])
+    x = np.stack([_x_state(rng) for _ in range(4)])
+    for stack, entry in ((full, (0, 1)), (x, (1, 1)), (x, (0, 3))):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            broken = stack.copy()
+            broken[(2, 3), entry[0], entry[1]] = bad
+            assert is_x_stack(broken) == (stack is x)
+            with pytest.raises(ValueError, match=r"^state 2 of the stack has a non-finite entry$"):
+                kernel(broken)
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_KERNELS))
+def test_stack_kernels_give_empty_results_on_an_empty_stack(name):
+    out = _STACK_KERNELS[name](np.zeros((0, 4, 4), dtype=complex))
+    for a in out if isinstance(out, tuple) else (out,):
+        assert a.shape == (0,)
+
+
 def _seed_compass_oracle(stack, measured):
     """classical_correlation_stack seeded on the full 64x64 grid, each measurement
     twice: the seed table and its mirror (1, -n) at (pi/2 - theta, phi + pi),
@@ -880,12 +914,12 @@ def test_property_bloch_gains_match_projector_rows(kinds, measured, seed):
     assert np.array_equal(dirs.view(np.int64), _allocating_directions(thetas, phis).view(np.int64))
     states = np.arange(k)
     ev = _GainEvaluator(stack, measured)
-    got = ev.gains(states, dirs, w).copy()
+    got = ev.gains(ev.coef, ev.s_x, dirs, w).copy()
     assert np.max(np.abs(got - ev(states, _projector_rows(thetas, phis)))) <= 1e-14
     # The mirror (pi/2 - theta, phi + pi) is the direction -n.
     mirror = _allocating_directions(0.5 * math.pi - thetas, phis + math.pi)
     assert np.max(np.abs(mirror[:, 1:] + dirs[:, 1:])) <= 1e-14
-    assert np.max(np.abs(ev.gains(states, mirror, w) - got)) <= 1e-14
+    assert np.max(np.abs(ev.gains(ev.coef, ev.s_x, mirror, w) - got)) <= 1e-14
 
 
 def _allocating_bloch_gains(ev, states, dirs):
@@ -920,7 +954,9 @@ def _allocating_directions(thetas, phis):
 
 def _allocating_compass_oracle(stack, measured):
     """classical_correlation_stack with every compass round on fresh arrays, one
-    step size per start and round, stopping at the module's _STEP_TOL."""
+    step size per start and round, stopping at the module's _STEP_TOL; after
+    (J, theta, phi) come every start's raw final points (3n, 2) and values
+    (3n,), as _compass_starts returns them."""
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
@@ -947,7 +983,17 @@ def _allocating_compass_oracle(stack, measured):
             value[c[moved]] = top[moved]
             step[c] *= np.where(moved, 2.0, 0.5)
     k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
-    return (np.maximum(value[k], 0.0), *canonical_angles(point[k, 0], point[k, 1]))
+    return (np.maximum(value[k], 0.0), *canonical_angles(point[k, 0], point[k, 1]), point, value)
+
+
+def _assert_matches_allocating_rounds(stack, measured):
+    # The folded results, then every start's raw final point and value, so
+    # the two starts per state that the fold discards are compared too.
+    want = _allocating_compass_oracle(stack, measured)
+    for a, b in zip(classical_correlation_stack(stack, measured), want[:3]):
+        assert np.array_equal(a, b)
+    for a, b in zip(_compass_starts(_GainEvaluator(stack, measured), _thread_work()), want[3:]):
+        assert np.array_equal(a, b)
 
 
 def _classical_quantum_state(rng):
@@ -992,7 +1038,9 @@ def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
 # A round has one row of _HALVINGS x 8 trials per unfinished start, in calls
 # of up to 64 starts.  At n = 21 the first round's 63 starts fit one call; at
 # n = 22 its 66 starts take two; at n = 43 its 129 starts take three.  Later
-# rounds shrink back across these boundaries as starts finish.
+# rounds shrink back across these boundaries as starts finish.  The seeds are
+# picked 8 states at a time, and the compass runs 128 states at a time, so
+# at n = 129 the last state's starts run a chunk of their own.
 @example(n=1, measured=Qubit.B, seed=0)
 @example(n=6, measured=Qubit.A, seed=0)
 @example(n=21, measured=Qubit.A, seed=1)
@@ -1002,6 +1050,7 @@ def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
 @example(n=30, measured=Qubit.A, seed=0)
 @example(n=43, measured=Qubit.B, seed=0)
 @example(n=60, measured=Qubit.B, seed=2)
+@example(n=129, measured=Qubit.A, seed=3)
 def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed):
     # A round holds one row of 32 trials per start, in calls of up to 64
     # rows that reuse one workspace; from 22 states on, a round first takes
@@ -1014,10 +1063,7 @@ def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed)
     rng = np.random.default_rng(seed)
     kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
     stack = np.stack([kinds[kind](rng) for kind in rng.choice(sorted(kinds), n)])
-    got = classical_correlation_stack(stack, measured)
-    want = _allocating_compass_oracle(stack, measured)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    _assert_matches_allocating_rounds(stack, measured)
 
 
 @pytest.mark.parametrize("measured", [Qubit.A, Qubit.B])
@@ -1026,13 +1072,15 @@ def test_coarse_stop_tolerance_matches_allocating_rounds(monkeypatch, rng, measu
     # so their last rounds hold fewer than _HALVINGS step sizes and a smaller
     # step that would still move.  A round that commits a step below the
     # tolerance moves a start the one-step-per-round compass has stopped.
-    monkeypatch.setattr(correlations, "_STEP_TOL", 1e-3)
+    # At 0.3 grid spacings a start stops at its first miss, so its raw final
+    # value is the gain of a trial at a step of half a spacing or more, where
+    # the gain is not flat: a trial angle one ulp off changes a few of 768
+    # starts' values, on two compass chunks.
     kinds = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
-    stack = np.stack([kinds[kind](rng) for kind in sorted(kinds) for _ in range(8)])
-    got = classical_correlation_stack(stack, measured)
-    want = _allocating_compass_oracle(stack, measured)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    for tol, per_kind in ((1e-3, 8), (0.3, 64)):
+        monkeypatch.setattr(correlations, "_STEP_TOL", tol)
+        stack = np.stack([kinds[kind](rng) for kind in sorted(kinds) for _ in range(per_kind)])
+        _assert_matches_allocating_rounds(stack, measured)
 
 
 def test_results_do_not_alias_the_compass_workspace(rng):
@@ -1086,24 +1134,29 @@ def test_threads_keep_their_own_workspace(rng):
 @pytest.mark.parametrize("n", [1, 6, 21, 22, 101])
 def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
     # The seeds take one product per state against the whole (4, 2048)
-    # table, and each compass call takes whole starts, at most 64 rows of 32
-    # directions, so the workspace caches at most 64 + 1 shapes of views.
+    # table, on the state's own coefficient rows.  Each compass call takes
+    # whole starts, at most 64 rows of 32 directions, on rows that stay in
+    # the workspace's slots, so a round gathers nothing and the workspace
+    # caches at most 64 + 1 shapes of views.
     calls = []
     gains = _GainEvaluator.gains
 
-    def spy(self, states, dirs, w):
-        calls.append((len(states), dirs))
-        return gains(self, states, dirs, w)
+    def spy(coef, s_x, dirs, w):
+        calls.append((coef, s_x, dirs))
+        return gains(coef, s_x, dirs, w)
 
-    monkeypatch.setattr(_GainEvaluator, "gains", spy)
+    monkeypatch.setattr(_GainEvaluator, "gains", staticmethod(spy))
     stack = np.stack([random_density(rng, 4).mat for _ in range(n)])
     classical_correlation_stack(stack, Qubit.A if n % 2 else Qubit.B)
     # Seed rows (4, k) are shared by all states; compass rows are (k, 4, 32).
-    seeds = [(k, dirs.shape) for k, dirs in calls if dirs.ndim == 2]
-    assert seeds == [(1, _SEED_DIRS.shape)] * n
-    compass = [dirs.shape for _, dirs in calls if dirs.ndim == 3]
+    seeds = [(coef.shape, s_x.shape, dirs.shape) for coef, s_x, dirs in calls if dirs.ndim == 2]
+    assert seeds == [((1, 8, 4), (1,), _SEED_DIRS.shape)] * n
+    compass = [(coef, s_x, dirs) for coef, s_x, dirs in calls if dirs.ndim == 3]
     assert len(seeds) + len(compass) == len(calls) and compass
     assert _STARTS_PER_CALL == 64 and len(_MOVES) == 32
-    assert all(1 <= shape[0] <= 64 and shape[1:] == (4, 32) for shape in compass)
+    slots = _thread_work().slots
+    for coef, s_x, dirs in compass:
+        assert 1 <= len(coef) <= 64 and coef.shape[1:] == (8, 4) and dirs.shape == (len(coef), 4, 32)
+        assert np.shares_memory(coef, slots) and np.shares_memory(s_x, slots)
     shapes = {(1, _SEED_DIRS.shape[1])} | {(k, 32) for k in range(1, 65)}
     assert set(_thread_work().views) <= shapes
