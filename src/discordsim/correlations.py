@@ -37,29 +37,29 @@ __all__ = [
 
 _DISCORD_TOL = 1e-9  # round-off of I - J: a discord within -this of 0 is 0
 _SEED_GRID_N = 64
-# Compass refinement: a start moves only for a gain above round-off, doubling
-# its step after a move and halving it after a miss; without both rules,
-# near-product states close to the theta = 0 and pi/2 poles wander on
-# round-off for tens of thousands of rounds.  A start stops once its step, in
-# seed-grid spacings, falls below _STEP_TOL (about 2.5e-9 rad in theta).
+# Compass refinement (a pattern search; Kolda, Lewis & Torczon, SIAM Rev. 45,
+# 385, 2003): a start moves only for a gain above round-off, growing its step
+# after a move and shrinking it after a miss; without both rules, near-product
+# states close to the theta = 0 and pi/2 poles wander on round-off for tens of
+# thousands of rounds.  A start stops once its step, in seed-grid spacings,
+# falls below _STEP_TOL (about 2.5e-9 rad in theta).
 _MIN_IMPROVEMENT = 1e-15
 _STEP_TOL = 1e-7
 _COMPASS = np.array(
     [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float
 ) * (0.5 * math.pi / (_SEED_GRID_N - 1), 2.0 * math.pi / _SEED_GRID_N)
-# A round evaluates each start's next _HALVINGS step sizes as one row of trials
-# step * _MOVES, exactly (step * 2**-l) * _COMPASS level by level, each l as if
-# every smaller l had missed, and commits the first at or above _STEP_TOL that
-# moves.  Starts never interact, so each runs the trials of a one-step-per-round
-# compass bit for bit, in fewer rounds; 4 was the fastest of 1-6 and 8 on
-# random full-rank states.
-_HALVINGS = 4
+# A round evaluates each start's _HALVINGS step sizes step * 2**-l as one row of
+# trials step * _MOVES, level-major, and moves to the row's best trial; of 4, 6
+# and 8, 6 ran fastest on random full-rank states and as fast on X states.
+_HALVINGS = 6
 _LEVEL_SCALE = 0.5 ** np.arange(_HALVINGS)
 _MOVES = (_LEVEL_SCALE[:, None, None] * _COMPASS).reshape(-1, 2)
-# A start's trials point + step * _MOVES take only 9 distinct theta and 9
-# distinct phi offsets, 0 and +-2**-l grid spacings: the rows of _OFFSETS.  A
-# round takes their trig once per start, into a table of columns sin 2 theta,
-# sin phi, cos 2 theta, cos phi (9 each) and a constant 1, and gathers each
+# Step factors after a move at level l, and after a miss (row _HALVINGS).
+_GROWTH = np.append(2.0 * _LEVEL_SCALE, 0.5**_HALVINGS)
+# A start's trials point + step * _MOVES take only 2 _HALVINGS + 1 distinct
+# theta and phi offsets each, 0 and +-2**-l grid spacings: the rows of _OFFSETS.
+# A round takes their trig once per start, into a table of columns sin 2 theta,
+# sin phi, cos 2 theta, cos phi and a constant 1, and gathers each
 # trial's direction (1, cos phi, sin phi, cos 2 theta) at _TABLE_PICK and its
 # sin 2 theta at _THETA_PICK.
 (_THETA_OFFSETS, _THETA_PICK), (_PHI_OFFSETS, _PHI_PICK) = (np.unique(a, return_inverse=True) for a in _MOVES.T)
@@ -69,7 +69,8 @@ _TABLE_PICK = np.stack([np.full(len(_MOVES), 4 * _N_OFFSETS), _PHI_PICK + 3 * _N
                         _PHI_PICK + _N_OFFSETS, _THETA_PICK + 2 * _N_OFFSETS])
 # No evaluator call holds more (state, angle) pairs than half a seed grid, so
 # peak memory does not grow with the number of states in a stack, and a
-# workspace caches views of at most 64 compass shapes besides the seeds' one.
+# workspace caches views of at most _STARTS_PER_CALL compass shapes besides
+# the seeds' one.
 # States go through the seed pick 8 at a time, one (8, 2048) block of gains,
 # and through the compass 128 at a time: their 384 starts' slot rows (114 KB)
 # stay below glibc's 128 KiB mmap threshold, so compacting them maps no pages.
@@ -266,10 +267,11 @@ class _GainEvaluator:
 
 class _BlochWork:
     """Buffers for the Bloch gains of up to ``size`` rows of ``d`` directions
-    each, reused by the seeds and every compass round; a compass row is one
-    start's trials at all its step sizes.  ``slots`` holds one row per
-    unfinished start of a compass chunk: its 32 coefficients, S(X), theta, phi,
-    value and step.  ``seed_gains`` holds the gains of a seed chunk's states.
+    each, and never fewer directions than the seed table, reused by the seeds
+    and every compass round; a compass row is one start's trials at all its
+    step sizes.  ``slots`` holds one row per unfinished start of a compass
+    chunk: its 32 coefficients, S(X), theta, phi, value and step.
+    ``seed_gains`` holds the gains of a seed chunk's states.
 
     ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
@@ -284,38 +286,36 @@ class _BlochWork:
 
     def __init__(self, size: int, d: int):
         self.d = d
-        self.flat = {name: np.empty(size * d * n) for name, n in self._SIZES.items()}
-        self.flat |= {"drop": np.empty(size * d * 6, bool), "angles": np.empty(size * 2 * _N_OFFSETS),
+        pairs = max(size * d, _PAIRS_PER_CALL)
+        self.flat = {name: np.empty(pairs * n) for name, n in self._SIZES.items()}
+        self.flat |= {"drop": np.empty(pairs * 6, bool), "angles": np.empty(size * 2 * _N_OFFSETS),
                       "table": np.empty(size * self._TABLE)}
         self.flat["table"].reshape(size, self._TABLE)[:, -1] = 1.0
         self.slots = np.empty((3 * _COMPASS_CHUNK, 32 + 5))
-        self.best = np.empty((len(self.slots), _HALVINGS), dtype=int)
-        self.top = np.empty((len(self.slots), _HALVINGS))
-        self.level_rows = np.arange(0, len(self.slots) * _HALVINGS, _HALVINGS)
-        # Flat index of each (start, level)'s first trial in a call's gains.
-        self.trial_rows = np.arange(0, _PAIRS_PER_CALL, len(_COMPASS)).reshape(-1, _HALVINGS)
+        self.best = np.empty(len(self.slots), dtype=int)
+        self.top, self.wide = np.empty((2, len(self.slots)))
         self.seed_gains = np.empty((_SEED_CHUNK, _SEED_DIRS.shape[1]))
         self.views, self.slot_views = {}, {}
 
     def live(self, k: int) -> SimpleNamespace:
         """Views, cached per k like those of ``at``, of the first k slot rows
-        (the unfinished starts) by field, of their best trial and its gain per
-        level, and ``calls``: for each evaluator call of up to
-        _STARTS_PER_CALL rows, its buffers and its share of those views."""
+        (the unfinished starts) by field, of their best trial, its gain and the
+        best gain at the largest step, and ``calls``: for each evaluator call
+        of up to _STARTS_PER_CALL rows, its buffers and its share of those views."""
         if (s := self.slot_views.get(k)) is None:
             slots = self.slots[:k]
             s = self.slot_views[k] = SimpleNamespace(
                 slots=slots, coef=slots[:, :32].reshape(k, 8, 4), s_x=slots[:, 32],
                 result=slots[:, 33:36], point=slots[:, 33:35], value=slots[:, 35], step=slots[:, 36],
-                best=self.best[:k], top=self.top[:k], level_rows=self.level_rows[:k],
+                best=self.best[:k], top=self.top[:k], wide=self.wide[:k],
             )
-            s.value_col, s.step_col = s.value[:, None], s.step[:, None]
+            s.step_col = s.step[:, None]
             s.calls = []
             for lo in range(0, k, _STARTS_PER_CALL):
                 rows = slice(lo, lo + _STARTS_PER_CALL)
                 n = len(s.step[rows])
                 s.calls.append((self.at(n), s.point[rows], s.step[rows], s.coef[rows], s.s_x[rows],
-                                s.best[rows], s.top[rows], self.trial_rows[:n]))
+                                s.best[rows], s.top[rows], s.wide[rows]))
         return s
 
     def at(self, k: int, d: int | None = None) -> SimpleNamespace:
@@ -351,9 +351,9 @@ _THREAD = threading.local()
 
 
 def _thread_work() -> _BlochWork:
-    """This thread's workspace, one seed table wide (64 compass rows of 32
-    directions), with slots for 384 compass starts and a block for 8 states'
-    seed gains, about 1.0 MB; built on its first use."""
+    """This thread's workspace, one seed table wide (room for 42 compass rows
+    of 48 directions), with slots for 384 compass starts and a block for 8
+    states' seed gains, about 1.0 MB; built on its first use."""
     try:
         return _THREAD.work
     except AttributeError:
@@ -450,25 +450,25 @@ def _top_seeds(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.nda
 def _compass_round(s: SimpleNamespace) -> None:
     """Advance every start in the slot views ``s`` by one round, in place.
 
-    A start commits the first of its _HALVINGS step sizes at or above
-    _STEP_TOL whose best trial beats its value by more than _MIN_IMPROVEMENT,
-    and doubles that step; a start that commits none divides its step by
-    2**_HALVINGS.  Masked copies commit the moves from the operands that
-    updates of the moved starts alone would take, so the values are the same.
+    A start moves to the best of all its trials when that beats its value by
+    more than _MIN_IMPROVEMENT, then doubles its largest step size if one of
+    that size's trials beats it too, else the best trial's step size; a start
+    that does not move divides its step by 2**_HALVINGS.  Masked copies commit
+    the moves from the operands that updates of the moved starts alone would
+    take, so the values are the same.
     """
-    for w, point, step, coef, s_x, best, top, trial_rows in s.calls:
-        dirs = _trial_directions(point, step, w)
-        trial_gain = _GainEvaluator.gains(coef, s_x, dirs, w).reshape(-1, _HALVINGS, len(_COMPASS))
-        trial_gain.argmax(axis=2, out=best)
-        np.take(trial_gain, best + trial_rows, out=top)  # max(axis=2) costs several times more
-    levels = s.step_col * _LEVEL_SCALE
-    hit = (s.top > s.value_col + _MIN_IMPROVEMENT) & (levels >= _STEP_TOL)
-    pick = hit.argmax(axis=1) + s.level_rows  # flat index of the first level that moved, else of level 0
-    moved, step = hit.take(pick), levels.take(pick)
-    np.copyto(s.value, s.top.take(pick), where=moved)
-    np.add(s.point, step[:, None] * _COMPASS.take(s.best.take(pick), axis=0), out=s.point, where=moved[:, None])
-    np.multiply(s.step, 0.5**_HALVINGS, out=s.step)
-    np.multiply(step, 2.0, out=s.step, where=moved)
+    for w, point, step, coef, s_x, best, top, wide in s.calls:
+        gain = _GainEvaluator.gains(coef, s_x, _trial_directions(point, step, w), w)
+        gain.argmax(axis=1, out=best)
+        gain.max(axis=1, out=top)
+        gain[:, : len(_COMPASS)].max(axis=1, out=wide)
+    bar = s.value + _MIN_IMPROVEMENT
+    moved = s.top > bar
+    level = np.where(s.wide > bar, 0, s.best // len(_COMPASS))
+    np.copyto(level, _HALVINGS, where=~moved)
+    np.copyto(s.value, s.top, where=moved)
+    np.add(s.point, s.step_col * _MOVES.take(s.best, axis=0), out=s.point, where=moved[:, None])
+    np.multiply(s.step, _GROWTH.take(level), out=s.step)
 
 
 def _compass_starts(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
@@ -533,8 +533,8 @@ def classical_correlation_stack(
     for each state of a stack.
 
     Each state's best three seeds of a 64x64 angle grid start a compass search;
-    every round advances the unfinished starts of a chunk of states together,
-    each by up to _HALVINGS step sizes.  The arithmetic runs in this thread's
+    every round moves each unfinished start of a chunk of states to its best
+    trial over _HALVINGS step sizes.  The arithmetic runs in this thread's
     workspace; the results are fresh arrays.
     """
     require_finite(stack)

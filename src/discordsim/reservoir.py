@@ -65,8 +65,8 @@ def regime(params: ReservoirParams) -> Regime:
 def evaluate_chi(params: ReservoirParams, t):
     """Amplitude factor chi at dimensionless time t = gamma0 * t_phys.
 
-    ``t`` is a time or an array of times; an array gives an array of the
-    same shape.  chi(0) = 1 and |chi| <= 1 for all t >= 0.  In the
+    ``t`` is a time or an array of times (a list or tuple counts as one);
+    an array gives an array of the same shape.  chi(0) = 1 and |chi| <= 1 for all t >= 0.  In the
     oscillatory regime chi goes negative between its zeros; coherences
     inherit the sign while populations (chi**2) do not.
 
@@ -74,8 +74,8 @@ def evaluate_chi(params: ReservoirParams, t):
     below lambda = 2 and the same with cosh and sinh from 2 on; neither form
     has the factor lambda / d that diverges at lambda = 2.
     """
-    if isinstance(t, np.ndarray):
-        lam = params.lambda_ratio
+    if isinstance(t, np.ndarray) or np.ndim(t) > 0:
+        t, lam = np.asarray(t), params.lambda_ratio
         return np.array([_chi(lam, ti) for ti in t.ravel().tolist()]).reshape(t.shape)
     return _chi(params.lambda_ratio, t)
 

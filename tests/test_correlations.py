@@ -22,6 +22,7 @@ from discordsim import (
     classical_correlation,
     concurrence,
     conditional_entropy,
+    evaluate_chi,
     evolve_trajectory,
     mutual_information,
     partial_trace,
@@ -952,11 +953,11 @@ def _allocating_directions(thetas, phis):
     return dirs
 
 
-def _allocating_compass_oracle(stack, measured):
-    """classical_correlation_stack with every compass round on fresh arrays, one
-    step size per start and round, stopping at the module's _STEP_TOL; after
-    (J, theta, phi) come every start's raw final points (3n, 2) and values
-    (3n,), as _compass_starts returns them."""
+def _allocating_compass_oracle(stack, measured, advance):
+    """classical_correlation_stack with every compass round on fresh arrays,
+    ``advance`` taking each unfinished start one round further, until its step
+    falls below the module's _STEP_TOL; after (J, theta, phi) come every start's
+    raw final points (3n, 2) and values (3n,), as _compass_starts returns them."""
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
@@ -971,25 +972,48 @@ def _allocating_compass_oracle(stack, measured):
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
     step = np.full(3 * n, 0.5)
     while (live := np.flatnonzero(step >= correlations._STEP_TOL)).size:
-        for lo in range(0, live.size, _PAIRS_PER_CALL // len(_COMPASS)):
-            c = live[lo : lo + _PAIRS_PER_CALL // len(_COMPASS)]
-            trial = point[c, None, :] + step[c, None, None] * _COMPASS
-            dirs = _allocating_directions(trial[..., 0], trial[..., 1])
-            trial_gain = _allocating_bloch_gains(ev, owner[c], dirs)
-            best = trial_gain.argmax(axis=1)
-            top = trial_gain.max(axis=1)
-            moved = top > value[c] + _MIN_IMPROVEMENT
-            point[c[moved]] = trial[moved, best[moved]]
-            value[c[moved]] = top[moved]
-            step[c] *= np.where(moved, 2.0, 0.5)
+        point[live], value[live], step[live] = advance(ev, owner[live], point[live], value[live], step[live])
     k = value.reshape(n, 3).argmax(axis=1) + np.arange(0, 3 * n, 3)
     return (np.maximum(value[k], 0.0), *canonical_angles(point[k, 0], point[k, 1]), point, value)
+
+
+def _trial_gains(ev, owner, point, step, moves):
+    """Trials (k, m, 2) point + step * moves of k starts and their gains (k, m)."""
+    trial = point[:, None, :] + step[:, None, None] * moves
+    return trial, _allocating_bloch_gains(ev, owner, _allocating_directions(trial[..., 0], trial[..., 1]))
+
+
+def _first_hit_round(ev, owner, point, value, step):
+    """One round of the one-step compass the module ran before best-trial
+    rounds: the best of 8 trials at one step size moves a start and doubles
+    its step; otherwise the step halves.  Kept as the reference for J."""
+    trial, gain = _trial_gains(ev, owner, point, step, _COMPASS)
+    best = gain.argmax(axis=1)
+    top = gain.max(axis=1)
+    moved = top > value + _MIN_IMPROVEMENT
+    point = np.where(moved[:, None], trial[np.arange(len(best)), best], point)
+    return point, np.where(moved, top, value), step * np.where(moved, 2.0, 0.5)
+
+
+def _best_trial_round(ev, owner, point, value, step):
+    """_compass_round on fresh arrays: the best trial of all _HALVINGS step
+    sizes moves a start, which then doubles the largest step if a trial of
+    that size moved it too, else the best trial's step."""
+    trial, gain = _trial_gains(ev, owner, point, step, _MOVES)
+    best = gain.argmax(axis=1)
+    top = gain.max(axis=1)
+    bar = value + _MIN_IMPROVEMENT
+    moved = top > bar
+    level = np.where(gain[:, : len(_COMPASS)].max(axis=1) > bar, 0, best // len(_COMPASS))
+    growth = np.where(moved, 2.0 * 0.5**level, 0.5**correlations._HALVINGS)
+    point = np.where(moved[:, None], trial[np.arange(len(best)), best], point)
+    return point, np.where(moved, top, value), step * growth
 
 
 def _assert_matches_allocating_rounds(stack, measured):
     # The folded results, then every start's raw final point and value, so
     # the two starts per state that the fold discards are compared too.
-    want = _allocating_compass_oracle(stack, measured)
+    want = _allocating_compass_oracle(stack, measured, _best_trial_round)
     for a, b in zip(classical_correlation_stack(stack, measured), want[:3]):
         assert np.array_equal(a, b)
     for a, b in zip(_compass_starts(_GainEvaluator(stack, measured), _thread_work()), want[3:]):
@@ -1036,27 +1060,28 @@ def test_property_measuring_a_is_measuring_b_of_the_swapped_state(kinds, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 # A round has one row of _HALVINGS x 8 trials per unfinished start, in calls
-# of up to 64 starts.  At n = 21 the first round's 63 starts fit one call; at
-# n = 22 its 66 starts take two; at n = 43 its 129 starts take three.  Later
-# rounds shrink back across these boundaries as starts finish.  The seeds are
-# picked 8 states at a time, and the compass runs 128 states at a time, so
-# at n = 129 the last state's starts run a chunk of their own.
+# of up to _STARTS_PER_CALL starts (42 at _HALVINGS = 6).  With n states the
+# first round has 3n starts: at n = _STARTS_PER_CALL // 3 they fit one call,
+# one state more takes two, and from 2 _STARTS_PER_CALL // 3 + 1 states on
+# three.  Later rounds shrink back across these boundaries as starts finish.
+# The seeds are picked 8 states at a time, and the compass runs 128 states at
+# a time, so at n = 129 the last state's starts run a chunk of their own.
 @example(n=1, measured=Qubit.B, seed=0)
 @example(n=6, measured=Qubit.A, seed=0)
-@example(n=21, measured=Qubit.A, seed=1)
-@example(n=90, measured=Qubit.A, seed=0)
-@example(n=86, measured=Qubit.B, seed=1)
-@example(n=22, measured=Qubit.B, seed=0)
+@example(n=_STARTS_PER_CALL // 3, measured=Qubit.A, seed=1)
+@example(n=_STARTS_PER_CALL // 3 + 1, measured=Qubit.B, seed=0)
+@example(n=2 * _STARTS_PER_CALL // 3 + 1, measured=Qubit.B, seed=0)
 @example(n=30, measured=Qubit.A, seed=0)
-@example(n=43, measured=Qubit.B, seed=0)
 @example(n=60, measured=Qubit.B, seed=2)
+@example(n=86, measured=Qubit.B, seed=1)
+@example(n=90, measured=Qubit.A, seed=0)
 @example(n=129, measured=Qubit.A, seed=3)
 def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed):
-    # A round holds one row of 32 trials per start, in calls of up to 64
-    # rows that reuse one workspace; from 22 states on, a round first takes
-    # more than one call, so a call also runs on a prefix of the buffers.
-    # Levels below _STEP_TOL are evaluated but must never commit.  The
-    # in-place arithmetic must repeat the allocating one bit for bit.
+    # A round holds one row of len(_MOVES) trials per start, in calls of up
+    # to _STARTS_PER_CALL rows that reuse one workspace; once a round takes
+    # more than one call, a call also runs on a prefix of the buffers.  The
+    # in-place arithmetic must repeat the allocating one bit for bit, moves,
+    # step growth and misses included.
     # Classical-quantum states leave pure conditional states near their
     # optimum, whose round-off eigenvalues at or below 0 the masked log2 must
     # count as 0 log 0 = 0 whatever an earlier round left there.
@@ -1069,9 +1094,8 @@ def test_property_compass_workspace_matches_allocating_rounds(n, measured, seed)
 @pytest.mark.parametrize("measured", [Qubit.A, Qubit.B])
 def test_coarse_stop_tolerance_matches_allocating_rounds(monkeypatch, rng, measured):
     # At a stop tolerance of 1e-3 grid spacings most starts end unconverged,
-    # so their last rounds hold fewer than _HALVINGS step sizes and a smaller
-    # step that would still move.  A round that commits a step below the
-    # tolerance moves a start the one-step-per-round compass has stopped.
+    # and many take their last move at a step size below the tolerance, the
+    # best of their row, after which they stop.
     # At 0.3 grid spacings a start stops at its first miss, so its raw final
     # value is the gain of a trial at a step of half a spacing or more, where
     # the gain is not flat: a trial angle one ulp off changes a few of 768
@@ -1083,11 +1107,82 @@ def test_coarse_stop_tolerance_matches_allocating_rounds(monkeypatch, rng, measu
         _assert_matches_allocating_rounds(stack, measured)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["full", "x", "product", "classical-quantum"]), min_size=1, max_size=12),
+    measured=st.sampled_from([Qubit.A, Qubit.B]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_best_trial_rounds_keep_first_hit_j(kinds, measured, seed):
+    # Best-trial rounds take other paths than the one-step compass, but end
+    # no lower than its J beyond round-off of the gains.
+    rng = np.random.default_rng(seed)
+    make = {**_STATE_KINDS, "classical-quantum": _classical_quantum_state}
+    stack = np.stack([make[kind](rng) for kind in kinds])
+    want = _allocating_compass_oracle(stack, measured, _first_hit_round)[0]
+    assert np.all(classical_correlation_stack(stack, measured)[0] >= want - 1e-12)
+
+
+def _raw_general_stack(spec):
+    """The 6-point stack of trajectory ``spec`` of the raw-general benchmark
+    workload at seed 1 (``RawGeneral`` in bench/workloads.py): a random
+    full-rank state under lambda/gamma0 drawn by spec % 3, at t = 0, 5, ..., 25."""
+    rng = np.random.default_rng([1, sum(map(ord, "raw-general"))])
+    for i in range(spec + 1):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if i % 3 == 0:
+            lam = math.exp(rng.uniform(math.log(0.05), math.log(1.5)))
+        elif i % 3 == 1:
+            lam = math.exp(rng.uniform(math.log(2.5), math.log(20.0)))
+        else:
+            lam = 2.0 if rng.uniform() < 0.5 else 2.0 + rng.uniform(-1e-9, 1e-9)
+    m = g @ g.conj().T
+    m = 0.95 * m / np.trace(m).real + 0.05 * np.eye(4) / 4.0
+    chi = evaluate_chi(ReservoirParams(lam), np.linspace(0.0, 25.0, 6))
+    return evolve_stack(DensityMatrix(0.5 * (m + m.conj().T)), chi, chi)
+
+
+@pytest.mark.parametrize("spec, t_index", [(732, 5), (868, 2), (1038, 1)])
+def test_near_pole_flat_states_keep_first_hit_j(spec, t_index):
+    # Measured A, these states have J of about 1e-11 or below, near the
+    # theta = 0 pole, where the gain is flat to round-off.  Rounds that always
+    # doubled the best trial's step, whatever the largest step did, ended
+    # below the one-step compass by more than 1e-12 here: by 1.0e-12 and
+    # 1.1e-12 on the first two at _HALVINGS = 4, by 1.1e-12 and 3.9e-12 on
+    # the last two at 6.
+    stack = _raw_general_stack(spec)
+    j = classical_correlation_stack(stack, Qubit.A)[0]
+    assert j[t_index] < 1e-10
+    assert np.all(j >= _allocating_compass_oracle(stack, Qubit.A, _first_hit_round)[0] - 1e-12)
+
+
+def test_best_trial_rounds_are_few_on_full_rank_states(monkeypatch):
+    # 40 evolved full-rank 6-state calls, measured A and B alternately:
+    # first-hit rounds took 21.9 rounds per call on average, best-trial
+    # rounds 14.3.
+    rounds = 0
+    real = correlations._compass_round
+
+    def counted(s):
+        nonlocal rounds
+        rounds += 1
+        real(s)
+
+    monkeypatch.setattr(correlations, "_compass_round", counted)
+    rng = np.random.default_rng(27)
+    t = np.linspace(0.0, 25.0, 6)
+    for i in range(40):
+        chi = evaluate_chi(ReservoirParams(10.0 ** rng.uniform(-1.3, 1.3)), t)
+        classical_correlation_stack(evolve_stack(random_density(rng, 4), chi, chi), (Qubit.A, Qubit.B)[i % 2])
+    assert rounds / 40 <= 16
+
+
 def test_results_do_not_alias_the_compass_workspace(rng):
     # Each thread keeps one workspace for every call, so a call must not
     # read what an earlier one left there: classical-quantum states, whose
     # pure conditional states put round-off eigenvalues around 0 in the entropy
-    # terms, then full-rank states over all 64 rows, then the first again.
+    # terms, then full-rank states over all _STARTS_PER_CALL rows, then the
+    # first again.
     classical_quantum = np.stack([_classical_quantum_state(rng) for _ in range(4)])
     full = np.stack([random_density(rng, 4).mat for _ in range(90)])
     calls = [(classical_quantum, Qubit.B), (full, Qubit.A), (classical_quantum, Qubit.B)]
@@ -1097,7 +1192,7 @@ def test_results_do_not_alias_the_compass_workspace(rng):
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)
     for got, call in zip(results, calls):
-        for a, b in zip(got, _allocating_compass_oracle(*call)):
+        for a, b in zip(got, _allocating_compass_oracle(*call, _best_trial_round)):
             assert np.array_equal(a, b)
 
 
@@ -1131,13 +1226,13 @@ def test_threads_keep_their_own_workspace(rng):
                 assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 6, 21, 22, 101])
+@pytest.mark.parametrize("n", [1, 6, _STARTS_PER_CALL // 3, _STARTS_PER_CALL // 3 + 1, 21, 22, 101])
 def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
     # The seeds take one product per state against the whole (4, 2048)
     # table, on the state's own coefficient rows.  Each compass call takes
-    # whole starts, at most 64 rows of 32 directions, on rows that stay in
-    # the workspace's slots, so a round gathers nothing and the workspace
-    # caches at most 64 + 1 shapes of views.
+    # whole starts, at most _STARTS_PER_CALL rows of len(_MOVES) directions,
+    # on rows that stay in the workspace's slots, so a round gathers nothing
+    # and the workspace caches at most _STARTS_PER_CALL + 1 shapes of views.
     calls = []
     gains = _GainEvaluator.gains
 
@@ -1148,15 +1243,16 @@ def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
     monkeypatch.setattr(_GainEvaluator, "gains", staticmethod(spy))
     stack = np.stack([random_density(rng, 4).mat for _ in range(n)])
     classical_correlation_stack(stack, Qubit.A if n % 2 else Qubit.B)
-    # Seed rows (4, k) are shared by all states; compass rows are (k, 4, 32).
+    # Seed rows (4, k) are shared by all states; compass rows are (k, 4, d).
     seeds = [(coef.shape, s_x.shape, dirs.shape) for coef, s_x, dirs in calls if dirs.ndim == 2]
     assert seeds == [((1, 8, 4), (1,), _SEED_DIRS.shape)] * n
     compass = [(coef, s_x, dirs) for coef, s_x, dirs in calls if dirs.ndim == 3]
     assert len(seeds) + len(compass) == len(calls) and compass
-    assert _STARTS_PER_CALL == 64 and len(_MOVES) == 32
+    d = len(_MOVES)
+    assert d == 8 * correlations._HALVINGS and _STARTS_PER_CALL == _PAIRS_PER_CALL // d
     slots = _thread_work().slots
     for coef, s_x, dirs in compass:
-        assert 1 <= len(coef) <= 64 and coef.shape[1:] == (8, 4) and dirs.shape == (len(coef), 4, 32)
+        assert 1 <= len(coef) <= _STARTS_PER_CALL and coef.shape[1:] == (8, 4) and dirs.shape == (len(coef), 4, d)
         assert np.shares_memory(coef, slots) and np.shares_memory(s_x, slots)
-    shapes = {(1, _SEED_DIRS.shape[1])} | {(k, 32) for k in range(1, 65)}
+    shapes = {(1, _SEED_DIRS.shape[1])} | {(k, d) for k in range(1, _STARTS_PER_CALL + 1)}
     assert set(_thread_work().views) <= shapes

@@ -50,6 +50,20 @@ def test_chi_at_widest_accepted_spectrum_is_markov_limit():
     assert evaluate_chi(params, 0.0) == 1.0
 
 
+def test_chi_takes_lists_and_tuples_of_times_as_arrays():
+    # A list of times raised "TypeError: must be real number, not list".
+    params = ReservoirParams(lambda_ratio=0.1)
+    ts = np.array([[0.0, 1.0], [FIRST_ZERO, 25.0]])
+    want = evaluate_chi(params, ts)
+    assert want.shape == ts.shape
+    assert np.array_equal(want.ravel(), [evaluate_chi(params, t) for t in ts.ravel().tolist()])
+    for t in (ts.tolist(), tuple(ts[1]), [3], ()):
+        got = evaluate_chi(params, t)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, evaluate_chi(params, np.array(t, dtype=float)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate_chi(params, [1.0, -1.0])
+
+
 def test_regime_classification():
     assert regime(ReservoirParams(lambda_ratio=0.1)) is Regime.NON_MARKOVIAN
     assert regime(ReservoirParams(lambda_ratio=1.99)) is Regime.NON_MARKOVIAN
