@@ -29,6 +29,7 @@ from .scenarios import Family, StateFamily, build_state
 from .states import DensityMatrix, Qubit
 from .sweep import (
     CSV_COLUMNS,
+    _replace_file,
     PRESET_IDS,
     figure_preset,
     format_csv_rows,
@@ -64,7 +65,7 @@ def _write_lines(lines: list[str], output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        _replace_file(Path(output), [text])
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:

@@ -70,13 +70,11 @@ _TABLE_PICK = np.stack([np.full(len(_MOVES), 4 * _N_OFFSETS), _PHI_PICK + 3 * _N
 # No evaluator call holds more (state, angle) pairs than half a seed grid, so
 # peak memory does not grow with the number of states in a stack, and a
 # workspace caches views of at most _STARTS_PER_CALL compass shapes besides
-# the seeds' one.
-# States go through the seed pick 8 at a time, one (8, 2048) block of gains,
-# and through the compass 128 at a time: their 384 starts' slot rows (114 KB)
-# stay below glibc's 128 KiB mmap threshold, so compacting them maps no pages.
+# the seeds' one.  The compass runs 128 states at a time: their 384 starts'
+# coefficient rows (96 KiB) stay below glibc's 128 KiB mmap threshold, so
+# compacting them maps no pages.
 _PAIRS_PER_CALL = _SEED_GRID_N**2 // 2
 _STARTS_PER_CALL = _PAIRS_PER_CALL // len(_MOVES)
-_SEED_CHUNK = 8
 _COMPASS_CHUNK = 128
 
 
@@ -266,12 +264,9 @@ class _GainEvaluator:
 
 
 class _BlochWork:
-    """Buffers for the Bloch gains of up to ``size`` rows of ``d`` directions
-    each, and never fewer directions than the seed table, reused by the seeds
-    and every compass round; a compass row is one start's trials at all its
-    step sizes.  ``slots`` holds one row per unfinished start of a compass
-    chunk: its 32 coefficients, S(X), theta, phi, value and step.
-    ``seed_gains`` holds the gains of a seed chunk's states.
+    """Buffers for the Bloch gains of one seed-table row or of up to
+    _STARTS_PER_CALL compass rows, reused by the seeds and every compass
+    round; a compass row is one start's trials at all its step sizes.
 
     ``at(k, d)`` views the first k rows' share of each buffer shaped as a fresh
     array of the same shape would be, so rounds in place run the arithmetic of
@@ -284,42 +279,15 @@ class _BlochWork:
               "entropy": 2, "gain": 1}
     _TABLE = 4 * _N_OFFSETS + 1
 
-    def __init__(self, size: int, d: int):
-        self.d = d
-        pairs = max(size * d, _PAIRS_PER_CALL)
-        self.flat = {name: np.empty(pairs * n) for name, n in self._SIZES.items()}
-        self.flat |= {"drop": np.empty(pairs * 6, bool), "angles": np.empty(size * 2 * _N_OFFSETS),
-                      "table": np.empty(size * self._TABLE)}
-        self.flat["table"].reshape(size, self._TABLE)[:, -1] = 1.0
-        self.slots = np.empty((3 * _COMPASS_CHUNK, 32 + 5))
-        self.best = np.empty(len(self.slots), dtype=int)
-        self.top, self.wide = np.empty((2, len(self.slots)))
-        self.seed_gains = np.empty((_SEED_CHUNK, _SEED_DIRS.shape[1]))
-        self.views, self.slot_views = {}, {}
+    def __init__(self):
+        self.flat = {name: np.empty(_PAIRS_PER_CALL * n) for name, n in self._SIZES.items()}
+        self.flat |= {"drop": np.empty(_PAIRS_PER_CALL * 6, bool),
+                      "angles": np.empty(_STARTS_PER_CALL * 2 * _N_OFFSETS),
+                      "table": np.empty(_STARTS_PER_CALL * self._TABLE)}
+        self.flat["table"].reshape(_STARTS_PER_CALL, self._TABLE)[:, -1] = 1.0
+        self.views = {}
 
-    def live(self, k: int) -> SimpleNamespace:
-        """Views, cached per k like those of ``at``, of the first k slot rows
-        (the unfinished starts) by field, of their best trial, its gain and the
-        best gain at the largest step, and ``calls``: for each evaluator call
-        of up to _STARTS_PER_CALL rows, its buffers and its share of those views."""
-        if (s := self.slot_views.get(k)) is None:
-            slots = self.slots[:k]
-            s = self.slot_views[k] = SimpleNamespace(
-                slots=slots, coef=slots[:, :32].reshape(k, 8, 4), s_x=slots[:, 32],
-                result=slots[:, 33:36], point=slots[:, 33:35], value=slots[:, 35], step=slots[:, 36],
-                best=self.best[:k], top=self.top[:k], wide=self.wide[:k],
-            )
-            s.step_col = s.step[:, None]
-            s.calls = []
-            for lo in range(0, k, _STARTS_PER_CALL):
-                rows = slice(lo, lo + _STARTS_PER_CALL)
-                n = len(s.step[rows])
-                s.calls.append((self.at(n), s.point[rows], s.step[rows], s.coef[rows], s.s_x[rows],
-                                s.best[rows], s.top[rows], s.wide[rows]))
-        return s
-
-    def at(self, k: int, d: int | None = None) -> SimpleNamespace:
-        d = d or self.d
+    def at(self, k: int, d: int = len(_MOVES)) -> SimpleNamespace:
         if (w := self.views.get((k, d))) is None:
 
             def view(name, *shape):
@@ -351,13 +319,12 @@ _THREAD = threading.local()
 
 
 def _thread_work() -> _BlochWork:
-    """This thread's workspace, one seed table wide (room for 42 compass rows
-    of 48 directions), with slots for 384 compass starts and a block for 8
-    states' seed gains, about 1.0 MB; built on its first use."""
+    """This thread's workspace: gain buffers one seed table wide, room for 42
+    compass rows of 48 directions, about 0.73 MB; built on its first use."""
     try:
         return _THREAD.work
     except AttributeError:
-        _THREAD.work = _BlochWork(_STARTS_PER_CALL, len(_MOVES))
+        _THREAD.work = _BlochWork()
         return _THREAD.work
 
 
@@ -372,8 +339,8 @@ def _trial_directions(point: np.ndarray, step: np.ndarray, w: SimpleNamespace) -
     np.multiply(w.double, 2.0, out=w.double)  # theta -> 2 theta
     np.sin(w.flat_angles, out=w.sines)
     np.cos(w.flat_angles, out=w.cosines)
-    np.take(w.table, _TABLE_PICK, axis=1, out=w.dirs, mode="clip")  # "raise" would copy
-    np.take(w.table, _THETA_PICK, axis=1, out=w.s2, mode="clip")
+    w.table.take(_TABLE_PICK, axis=1, out=w.dirs, mode="clip")  # "raise" would copy
+    w.table.take(_THETA_PICK, axis=1, out=w.s2, mode="clip")
     np.multiply(w.n_xy, w.s2_col, out=w.n_xy)
     return w.dirs
 
@@ -428,27 +395,23 @@ _SEED_DIRS = _seed_directions()  # built once per process
 
 def _top_seeds(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
     """Grid indices (n, 3) of each state's three best seeds, best first, and their
-    gains; one product against the whole table per state, one pick per chunk
-    of states."""
-    n, k = ev.s_x.size, _SEED_DIRS.shape[1]
+    gains; one product against the whole table per state."""
+    n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
-    w = work.at(1, k)
-    rows = np.arange(_SEED_CHUNK)[:, None]
-    for lo in range(0, n, _SEED_CHUNK):
-        block = work.seed_gains[: n - lo]
-        c = len(block)
-        for i, gain in enumerate(block, lo):
-            gain[...] = _GainEvaluator.gains(ev.coef[i : i + 1], ev.s_x[i : i + 1], _SEED_DIRS, w)[0]
-        # Flat indices into the block and into its (c, 3) candidates; take_along_axis costs more.
-        top = np.argpartition(block, -3, axis=1)[:, -3:] + rows[:c] * k
-        top = top.take(np.argsort(block.take(top), axis=1)[:, ::-1] + rows[:c] * 3)
-        order[lo : lo + c] = top - rows[:c] * k
-        value[lo : lo + c] = block.take(top)
+    w = work.at(1, _SEED_DIRS.shape[1])
+    for i in range(n):
+        gain = _GainEvaluator.gains(ev.coef[i : i + 1], ev.s_x[i : i + 1], _SEED_DIRS, w)[0]
+        top = np.argpartition(gain, -3)[-3:]
+        order[i] = top[np.argsort(gain[top])[::-1]]
+        value[i] = gain[order[i]]
     return order, value
 
 
-def _compass_round(s: SimpleNamespace) -> None:
-    """Advance every start in the slot views ``s`` by one round, in place.
+def _compass_round(work: _BlochWork, coef: np.ndarray, s_x: np.ndarray, result: np.ndarray,
+                   step: np.ndarray) -> None:
+    """Advance k starts by one round, in place: their coefficient rows
+    ``coef`` (k, 8, 4), S(X) ``s_x`` (k,), (theta, phi, value) rows ``result``
+    (k, 3) and steps ``step`` (k,).
 
     A start moves to the best of all its trials when that beats its value by
     more than _MIN_IMPROVEMENT, then doubles its largest step size if one of
@@ -457,48 +420,47 @@ def _compass_round(s: SimpleNamespace) -> None:
     the moves from the operands that updates of the moved starts alone would
     take, so the values are the same.
     """
-    for w, point, step, coef, s_x, best, top, wide in s.calls:
-        gain = _GainEvaluator.gains(coef, s_x, _trial_directions(point, step, w), w)
-        gain.argmax(axis=1, out=best)
-        gain.max(axis=1, out=top)
-        gain[:, : len(_COMPASS)].max(axis=1, out=wide)
-    bar = s.value + _MIN_IMPROVEMENT
-    moved = s.top > bar
-    level = np.where(s.wide > bar, 0, s.best // len(_COMPASS))
+    point, value = result[:, :2], result[:, 2]
+    picks = []
+    for lo in range(0, step.size, _STARTS_PER_CALL):
+        rows = slice(lo, lo + _STARTS_PER_CALL)
+        w = work.at(len(step[rows]))
+        gain = _GainEvaluator.gains(coef[rows], s_x[rows], _trial_directions(point[rows], step[rows], w), w)
+        picks.append((gain.argmax(axis=1), gain.max(axis=1), gain[:, : len(_COMPASS)].max(axis=1)))
+    best, top, wide = picks[0] if len(picks) == 1 else map(np.concatenate, zip(*picks))
+    bar = value + _MIN_IMPROVEMENT
+    moved = top > bar
+    level = np.where(wide > bar, 0, best // len(_COMPASS))
     np.copyto(level, _HALVINGS, where=~moved)
-    np.copyto(s.value, s.top, where=moved)
-    np.add(s.point, s.step_col * _MOVES.take(s.best, axis=0), out=s.point, where=moved[:, None])
-    np.multiply(s.step, _GROWTH.take(level), out=s.step)
+    np.copyto(value, top, where=moved)
+    np.add(point, step[:, None] * _MOVES.take(best, axis=0), out=point, where=moved[:, None])
+    np.multiply(step, _GROWTH.take(level), out=step)
 
 
 def _compass_starts(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
     """Final points (3n, 2), unfolded, and values (3n,) of every compass start;
     rows 3i to 3i + 2 start at state i's three best seeds, best first.
 
-    A chunk of states loads its starts into the workspace's slots and runs
-    rounds until each start's step falls below _STEP_TOL; a round that stops
-    starts writes them out and compacts the others in place.
+    A chunk of states runs rounds on its unfinished starts until each start's
+    step falls below _STEP_TOL; a round that stops starts writes them out and
+    compacts the others' arrays.
     """
     order, value = _top_seeds(ev, work)
     thetas, phis = _angle_axes(_SEED_GRID_N)
     final = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N], value], axis=-1).reshape(-1, 3)
     for lo in range(0, ev.s_x.size, _COMPASS_CHUNK):
         states = slice(lo, lo + _COMPASS_CHUNK)
-        live = np.arange(3 * lo, 3 * lo + 3 * ev.s_x[states].size)  # the slots' starts
-        s = work.live(live.size)
-        s.coef.reshape(-1, 3, 8, 4)[...] = ev.coef[states, None]  # each state's rows to its three starts
-        s.s_x.reshape(-1, 3)[...] = ev.s_x[states, None]
-        s.result[...] = final[live]
-        s.step[...] = 0.5
+        coef, s_x = ev.coef[states].repeat(3, axis=0), ev.s_x[states].repeat(3)  # each state's three starts
+        live = np.arange(3 * lo, 3 * lo + s_x.size)
+        result, step = final[live], np.full(live.size, 0.5)
         while live.size:
-            _compass_round(s)
-            keep = s.step >= _STEP_TOL
+            _compass_round(work, coef, s_x, result, step)
+            keep = step >= _STEP_TOL
             if np.count_nonzero(keep) == live.size:  # all() costs three times more
                 continue
-            final[live[~keep]] = s.result[~keep]
-            live, kept = live[keep], s.slots[keep]
-            s = work.live(live.size)
-            s.slots[...] = kept
+            final[live[~keep]] = result[~keep]
+            kept = np.flatnonzero(keep)  # take() gathers several times faster than a boolean index
+            live, coef, s_x, result, step = (a.take(kept, axis=0) for a in (live, coef, s_x, result, step))
     return final[:, :2], final[:, 2]
 
 

@@ -11,6 +11,7 @@ bytes, and ``figure_preset`` names the sweeps of the figure datasets.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from itertools import chain, takewhile
@@ -28,7 +29,7 @@ from .correlations import (
 )
 from .reservoir import ReservoirParams, evaluate_chi
 from .scenarios import Family, StateFamily, build_state
-from .states import _CHI_TOL, Qubit, evolve_stack, require_qubit, validate_states
+from .states import _CHI_TOL, DensityMatrix, Qubit, evolve_stack, require_qubit, validate_states
 
 __all__ = [
     "Axis",
@@ -102,7 +103,7 @@ class Axis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ValueError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
-        if self.count < 2:
+        if _require_count(self.count, "axis count") < 2:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
         if not self.max > self.min:
             raise ValueError(f"axis range is empty: [{self.min}, {self.max}]")
@@ -204,11 +205,18 @@ def _point(
     return StateFamily(family, alpha_sq, r), ReservoirParams(lambda_ratio=lambda_ratio)
 
 
+def _require_count(value, role: str) -> int:
+    """``value`` itself if it is an integer, Python's or numpy's; a float, even a whole one, is an error."""
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(f"{role} must be an integer, got {value!r}")
+    return value
+
+
 def uniform_grid(t_max: float, steps: int) -> np.ndarray:
     """``steps`` >= 2 evenly spaced times over [0, t_max], t_max positive and finite."""
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if steps < 2:
+    if _require_count(steps, "steps") < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     return np.linspace(0.0, t_max, steps)
 
@@ -286,6 +294,8 @@ def trajectory_from_state(
     stack, validated once; concurrence, mutual information, classical
     correlation (with its maximizing basis) and discord are evaluated on it.
     """
+    if not isinstance(rho0, DensityMatrix):
+        raise TypeError("rho0 must be a DensityMatrix")
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.ndim != 1 or t_arr.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array of times")
@@ -432,6 +442,22 @@ def format_csv_rows(
     return [_CSV_ROW.format(t, *fixed, *rest) for t, *rest in traj.tolist()]
 
 
+def _replace_file(path: Path, chunks) -> Path:
+    """Write the strings ``chunks``, in order, to a temporary file beside
+    ``path``, which then replaces ``path``; returns ``path``.  If writing or
+    replacing raises, the temporary file is removed and ``path`` is left as it was."""
+    partial = path.with_name(f".{path.name}.{os.urandom(6).hex()}.part")
+    fh = open(partial, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def run_sweep(config: SweepConfig, output: str | Path) -> Path:
     """Evaluate the sweep and write it as CSV; returns the path written.
 
@@ -444,24 +470,18 @@ def run_sweep(config: SweepConfig, output: str | Path) -> Path:
     replaces ``output`` at the end; a run that raises removes it and leaves
     ``output`` as it was.
     """
-    path = Path(output)
     t_grid = config.time_grid()
-    partial = path.with_name(f".{path.name}.{os.urandom(6).hex()}.part")
-    fh = open(partial, "x", encoding="utf-8", newline="")
-    try:
-        with fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for family in config.families:
-                for axis_value in config.axis.values():
-                    alpha_sq, r, lambda_ratio = config.point_params(axis_value)
-                    scenario, params = _point(alpha_sq, r, lambda_ratio, family)
-                    traj = evolve_trajectory(scenario, params, t_grid, config.measured)
-                    fh.write("\n".join(format_csv_rows(traj, alpha_sq, r, params)) + "\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    return path
+
+    def chunks():
+        yield ",".join(CSV_COLUMNS) + "\n"
+        for family in config.families:
+            for axis_value in config.axis.values():
+                alpha_sq, r, lambda_ratio = config.point_params(axis_value)
+                scenario, params = _point(alpha_sq, r, lambda_ratio, family)
+                traj = evolve_trajectory(scenario, params, t_grid, config.measured)
+                yield "\n".join(format_csv_rows(traj, alpha_sq, r, params)) + "\n"
+
+    return _replace_file(Path(output), chunks())
 
 
 def read_sweep_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
@@ -292,3 +293,20 @@ def test_summary_splits_trajectories_where_time_restarts(tmp_path):
     proc = run_script("summarize_features.py", str(twice))
     assert proc.returncode == 0, proc.stderr
     assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == ["0", "1"]
+
+
+def test_evolve_output_keeps_the_old_file_when_the_replace_fails(monkeypatch, tmp_path, capsys):
+    # evolve --output writes beside the target and then replaces it, as sweep
+    # does: a failed replace is a usage error that leaves the old bytes and
+    # no partial file.
+    target = tmp_path / "existing.csv"
+    target.write_bytes(b"earlier run\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    assert cli.main(["evolve", "--steps", "3", "--output", str(target)]) == 2
+    assert "replace failed" in capsys.readouterr().err
+    assert target.read_bytes() == b"earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing.csv"]

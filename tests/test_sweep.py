@@ -51,6 +51,7 @@ from discordsim.sweep import (
     _parabola_vertex,
     _prominent_dips,
     format_csv_rows,
+    uniform_grid,
 )
 
 from conftest import random_unitary
@@ -81,6 +82,11 @@ def test_axis_validation():
     for wide in (math.inf, 1e200):  # beyond ReservoirParams' domain
         with pytest.raises(ValueError):
             Axis("lambda_ratio", 0.1, wide, 3)
+    # A whole float count fails at construction, naming the argument, rather
+    # than later inside numpy's linspace; numpy integers are integers.
+    with pytest.raises(TypeError, match="axis count must be an integer, got 3.0"):
+        Axis("alpha_sq", 0.0, 1.0, 3.0)
+    assert len(Axis("alpha_sq", 0.0, 1.0, np.int64(3)).values()) == 3
     vals = Axis("r", 0.0, 1.0, 11).values()
     assert vals[0] == 0.0 and vals[-1] == 1.0 and len(vals) == 11
 
@@ -107,6 +113,10 @@ def test_sweep_config_validation():
     for t_max, steps in ((-1.0, 11), (0.0, 3), (math.inf, 3), (math.nan, 3), (10.0, 1)):
         with pytest.raises(ValueError):  # bad time grid
             SweepConfig((Family.PSI,), axis, t_max, steps, r=1.0, lambda_ratio=0.1)
+    with pytest.raises(TypeError, match="steps must be an integer, got 3.0"):
+        uniform_grid(25.0, 3.0)
+    with pytest.raises(TypeError, match="steps must be an integer, got 5.0"):
+        SweepConfig((Family.PSI,), axis, 25.0, 5.0, r=1.0, lambda_ratio=0.1)
 
 
 def test_resized_replaces_only_what_it_is_given():
@@ -249,6 +259,11 @@ def test_evolve_trajectory_rejects_non_qubit_measured(measured):
     params = ReservoirParams(lambda_ratio=0.1)
     with pytest.raises(TypeError, match="measured must be a Qubit"):
         evolve_trajectory(scenario, params, np.linspace(0.0, 1.0, 3), measured)
+
+
+def test_trajectory_from_state_rejects_a_bare_matrix():
+    with pytest.raises(TypeError, match="rho0 must be a DensityMatrix"):
+        trajectory_from_state(np.eye(4) / 4.0, ReservoirParams(lambda_ratio=0.1), np.linspace(0.0, 1.0, 3))
 
 
 def test_trajectory_from_raw_state_matches_family_path():
