@@ -67,7 +67,7 @@ _OFFSETS = np.stack([_THETA_OFFSETS, _PHI_OFFSETS])
 _N_OFFSETS = _OFFSETS.shape[1]
 _TABLE_PICK = np.stack([np.full(len(_MOVES), 4 * _N_OFFSETS), _PHI_PICK + 3 * _N_OFFSETS,
                         _PHI_PICK + _N_OFFSETS, _THETA_PICK + 2 * _N_OFFSETS])
-# No evaluator call holds more (state, angle) pairs than half a seed grid, so
+# No evaluator call holds more (state, angle) pairs than half the 64 x 64 grid, so
 # peak memory does not grow with the number of states in a stack, and a
 # workspace caches views of at most _STARTS_PER_CALL compass shapes besides
 # the seeds' one.  The compass runs 128 states at a time: their 384 starts'
@@ -379,22 +379,33 @@ def _grid_rows(n: int):
         yield rows
 
 
-def _seed_directions() -> np.ndarray:
-    """Read-only direction rows (4, k) of the seed grid's first _PAIRS_PER_CALL pairs,
-    theta < pi/4, which hold each measurement once (see canonical_angles)."""
-    thetas, phis = _angle_axes(_SEED_GRID_N)
-    double, phi = np.repeat(2.0 * thetas[: _SEED_GRID_N // 2], _SEED_GRID_N), np.tile(phis, _SEED_GRID_N // 2)
+def _seed_directions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only seed angles theta (k,) and phi (k,) and their direction rows (4, k).
+
+    Equal-area rings on the seed grid's rows theta < pi/4 (n_z > 0): row j
+    holds ceil(_SEED_GRID_N sin 2 theta_j) equally spaced azimuths, the pole
+    one, so no ring is spaced more finely than the equator ring, which sets
+    the widest gap, 0.0551 rad as on the grid, and each measurement is held
+    once (n and -n are one measurement; see canonical_angles).
+    """
+    thetas = _angle_axes(_SEED_GRID_N)[0][: _SEED_GRID_N // 2]
+    counts = np.maximum(1, np.ceil(_SEED_GRID_N * np.sin(2.0 * thetas)).astype(int))
+    ring = np.repeat(np.arange(counts.size), counts)
+    azimuth = np.arange(ring.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    theta, phi = thetas[ring], 2.0 * math.pi * azimuth / counts[ring]
+    double = 2.0 * theta
     s2 = np.sin(double)
     table = np.stack([np.ones(phi.size), s2 * np.cos(phi), s2 * np.sin(phi), np.cos(double)])
-    table.setflags(write=False)
-    return table
+    for a in (theta, phi, table):
+        a.setflags(write=False)
+    return theta, phi, table
 
 
-_SEED_DIRS = _seed_directions()  # built once per process
+_SEED_THETA, _SEED_PHI, _SEED_DIRS = _seed_directions()  # built once per process: 1297 seeds
 
 
 def _top_seeds(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices (n, 3) of each state's three best seeds, best first, and their
+    """Seed indices (n, 3) of each state's three best seeds, best first, and their
     gains; one product against the whole table per state."""
     n = ev.s_x.size
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
@@ -446,8 +457,7 @@ def _compass_starts(ev: _GainEvaluator, work: _BlochWork) -> tuple[np.ndarray, n
     compacts the others' arrays.
     """
     order, value = _top_seeds(ev, work)
-    thetas, phis = _angle_axes(_SEED_GRID_N)
-    final = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N], value], axis=-1).reshape(-1, 3)
+    final = np.stack([_SEED_THETA.take(order), _SEED_PHI.take(order), value], axis=-1).reshape(-1, 3)
     for lo in range(0, ev.s_x.size, _COMPASS_CHUNK):
         states = slice(lo, lo + _COMPASS_CHUNK)
         coef, s_x = ev.coef[states].repeat(3, axis=0), ev.s_x[states].repeat(3)  # each state's three starts
@@ -494,7 +504,7 @@ def classical_correlation_stack(
     """Classical correlation and the folded angles (theta, phi) of its maximizing basis,
     for each state of a stack.
 
-    Each state's best three seeds of a 64x64 angle grid start a compass search;
+    Each state's best three of 1297 seeds on equal-area rings start a compass search;
     every round moves each unfinished start of a chunk of states to its best
     trial over _HALVINGS step sizes.  The arithmetic runs in this thread's
     workspace; the results are fresh arrays.

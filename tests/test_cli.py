@@ -310,3 +310,35 @@ def test_evolve_output_keeps_the_old_file_when_the_replace_fails(monkeypatch, tm
     assert "replace failed" in capsys.readouterr().err
     assert target.read_bytes() == b"earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["existing.csv"]
+
+
+def test_output_gate_holds_exact_columns_and_bounds_j_and_d(tmp_path):
+    # Columns t_gamma0 .. mutual_info_bits must match bit for bit, J may fall
+    # at most 1e-12 and D move at most 1e-12; the argmax columns are free.
+    parent = run_sweep(figure_preset("fig2").resized(2, 5, None, None), tmp_path / "parent.csv")
+    header, *rows = parent.read_text().splitlines()
+    col = {name: k for k, name in enumerate(CSV_COLUMNS)}
+
+    def gate(edit):
+        fields = [row.split(",") for row in rows]
+        edit(fields)
+        change = tmp_path / "change.csv"
+        change.write_text("\n".join([header, *(",".join(f) for f in fields)]) + "\n")
+        return run_script("output_gate.py", str(parent), str(change))
+
+    def shift(row, name, delta):  # delta None: one ulp up
+        def edit(fields):
+            x = float(fields[row][col[name]])
+            fields[row][col[name]] = repr(float(np.nextafter(x, np.inf)) if delta is None else x + delta)
+        return edit
+
+    proc = gate(lambda fields: None)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "output gate: pass"
+    for name, delta in (("argmax_theta", 0.5), ("classical_corr_bits", -0.5e-12), ("discord_bits", 0.5e-12)):
+        assert gate(shift(3, name, delta)).returncode == 0
+    for name, delta in (("mutual_info_bits", None), ("chi", None), ("classical_corr_bits", -2e-12),
+                        ("discord_bits", -2e-12)):
+        proc = gate(shift(3, name, delta))
+        assert proc.returncode == 1 and proc.stdout.splitlines()[-1] == "output gate: fail", (name, proc.stdout)
+    assert gate(lambda fields: fields.pop()).returncode == 2

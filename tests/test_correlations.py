@@ -39,12 +39,13 @@ from discordsim.correlations import (
     _PAIRS_PER_CALL,
     _SEED_DIRS,
     _SEED_GRID_N,
+    _SEED_PHI,
+    _SEED_THETA,
     _STARTS_PER_CALL,
     _STEP_TOL,
     _BlochWork,
     _GainEvaluator,
     _compass_starts,
-    _grid_rows,
     _projector_rows,
     _thread_work,
     _top_seeds,
@@ -601,17 +602,22 @@ def test_stack_kernels_give_empty_results_on_an_empty_stack(name):
         assert a.shape == (0,)
 
 
+def _grid_angles(n):
+    """Flat (theta, phi) of the n x n grid, pair j = (thetas[j // n], phis[j % n])."""
+    thetas = np.linspace(0.0, 0.5 * math.pi, n)
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return tuple(a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+
+
 def _seed_compass_oracle(stack, measured):
-    """classical_correlation_stack seeded on the full 64x64 grid, each measurement
-    twice: the seed table and its mirror (1, -n) at (pi/2 - theta, phi + pi),
-    with fresh arrays per state; the compass runs on projector rows."""
+    """classical_correlation_stack seeded on the full 64x64 grid, which holds
+    each measurement twice, as (theta, phi) and its mirror (pi/2 - theta,
+    phi + pi), and the pole 64 times, with fresh arrays per state; the compass
+    runs on projector rows."""
     ev = _GainEvaluator(stack, measured)
     n = ev.s_x.size
-    thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
-    phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
-    tt, pp = (a.ravel()[:_PAIRS_PER_CALL] for a in np.meshgrid(thetas, phis, indexing="ij"))
-    tt, pp = np.concatenate([tt, 0.5 * math.pi - tt]), np.concatenate([pp, pp + math.pi])
-    dirs = np.concatenate([_SEED_DIRS, _SEED_DIRS * [[1.0], [-1.0], [-1.0], [-1.0]]], axis=1)
+    tt, pp = _grid_angles(_SEED_GRID_N)
+    dirs = _allocating_directions(tt, pp)
     order, value = np.empty((n, 3), dtype=int), np.empty((n, 3))
     for i in range(n):
         gain = _allocating_bloch_gains(ev, [i], dirs)[0]
@@ -659,10 +665,10 @@ _STATE_KINDS = {
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_cached_seed_rows_match_rebuilt_rows(kinds, measured, seed):
-    # The cached seeds hold each measurement of the oracle's full grid once,
-    # so the compass may start from the other mirror representative and end
-    # at another argmax, but never lower.  Product states make the gain flat
-    # and the top-3 seed choice tie-heavy.
+    # The ring seeds cover the sphere as closely as the oracle's full grid
+    # with other points, so the compass may start elsewhere and end at another
+    # argmax, but never lower.  Product states make the gain flat and the
+    # top-3 seed choice tie-heavy.
     rng = np.random.default_rng(seed)
     stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
     value, thetas, phis = classical_correlation_stack(stack, measured)
@@ -675,12 +681,13 @@ def test_property_cached_seed_rows_match_rebuilt_rows(kinds, measured, seed):
 
 
 def test_cached_seed_rows_cannot_be_corrupted(rng):
-    assert _SEED_DIRS.shape == (4, _SEED_GRID_N**2 // 2)
+    assert _SEED_DIRS.shape == (4, 1297) and _SEED_THETA.shape == _SEED_PHI.shape == (1297,)
     # Columns are (1, n) with n_z = cos 2 theta, so theta < pi/4 means n_z > 0.
     assert np.all(_SEED_DIRS[0] == 1.0)
     assert _SEED_DIRS[3].min() > 0.0
-    with pytest.raises(ValueError):
-        _SEED_DIRS[0, 0] = 0.0
+    for table in (_SEED_DIRS, _SEED_THETA, _SEED_PHI):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
     stack = np.stack([random_density(rng, 4).mat for _ in range(5)])
     other = np.stack([random_pure(rng).mat for _ in range(3)])
     first = classical_correlation_stack(stack)
@@ -690,28 +697,44 @@ def test_cached_seed_rows_cannot_be_corrupted(rng):
         assert np.array_equal(a, b)
 
 
-def test_seed_rows_are_the_distinct_half_of_the_mirrored_grid(rng):
-    # Grid pairs (j, k) and (n - 1 - j, k + n/2 mod n) are (theta, phi) and
-    # (pi/2 - theta, phi + pi): one measurement with its outcomes swapped,
-    # whose direction is (1, -n).  The halved seed grid rests on this; it
-    # needs n even and a phi axis without its 2 pi endpoint.
-    n = _SEED_GRID_N
-    thetas = np.linspace(0.0, 0.5 * math.pi, n)
-    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    tt, pp = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    grid_dirs = _allocating_directions(tt, pp)
-    assert np.array_equal(_SEED_DIRS, grid_dirs[:, : n * n // 2])
-    j, k = np.divmod(np.arange(n * n), n)
-    mirror = (n - 1 - j) * n + (k + n // 2) % n
-    assert np.array_equal(grid_dirs[0, mirror], grid_dirs[0])
-    assert np.max(np.abs(grid_dirs[1:, mirror] + grid_dirs[1:])) <= 1e-14
-    full = np.concatenate(list(_grid_rows(n)), axis=1)
+def _covering_angles(dirs, points):
+    """Angle (k,) from each unit direction of ``points`` (k, 3) to the nearest
+    measurement of ``dirs`` (3, m), n and -n being one measurement."""
+    cos = np.concatenate([np.abs(points[lo : lo + 4096] @ dirs).max(axis=1) for lo in range(0, len(points), 4096)])
+    return np.arccos(np.minimum(cos, 1.0))
+
+
+def test_seed_rows_are_distinct_measurements_covering_the_sphere(rng):
+    # Rings on the grid's rows theta_j = j pi/126 < pi/4, ceil(64 sin 2 theta_j)
+    # azimuths each and the pole once: no two seeds are one measurement, and
+    # they cover the sphere as closely as the 64x64 grid does.  Both tables
+    # leave their widest gap on the equator, between the last ring, pi/126
+    # from it, and its mirror, half an azimuth step pi/64 from either seed.
+    assert np.array_equal(_SEED_DIRS, _allocating_directions(_SEED_THETA, _SEED_PHI))
+    dirs = _SEED_DIRS[1:]
+    assert dirs[2].min() > 0.0 and np.count_nonzero(_SEED_THETA == 0.0) == 1
+    gram = np.abs(dirs.T @ dirs)
+    np.fill_diagonal(gram, 0.0)
+    assert np.arccos(gram.max()) > 0.049  # the closest pair: the pole and the first ring, pi/63 apart
+    radius = math.acos(math.cos(math.pi / 126) * math.cos(math.pi / 64))  # 0.05505 rad
+    # A test grid over the whole sphere, polar steps pi/252 and azimuth steps
+    # pi/128, holds the centres of the equator gaps.
+    double, phi = (a.ravel() for a in np.meshgrid(np.linspace(0.0, math.pi, 253), np.arange(256) * math.pi / 128))
+    dense = np.stack([np.sin(double) * np.cos(phi), np.sin(double) * np.sin(phi), np.cos(double)], axis=-1)
+    grid = _allocating_directions(*_grid_angles(_SEED_GRID_N))[1:]
+    ring_gap, grid_gap = _covering_angles(dirs, dense), _covering_angles(grid, dense)
+    assert abs(ring_gap.max() - radius) <= 1e-9 and abs(grid_gap.max() - radius) <= 1e-9
+    assert _covering_angles(dirs, grid.T).max() <= 0.0549
+    # Half a sphere suffices: the mirror (pi/2 - theta, phi + pi) of a seed is
+    # one measurement with its outcomes swapped, direction -n, with the same gain.
+    rows = _projector_rows(_SEED_THETA, _SEED_PHI)[None]
+    mirror = _projector_rows(0.5 * math.pi - _SEED_THETA, _SEED_PHI + math.pi)[None]
     stack = np.stack([random_density(rng, 4).mat for _ in range(8)])
     for measured in (Qubit.A, Qubit.B):
         ev = _GainEvaluator(stack, measured)
         for i in range(len(stack)):
-            gain = ev([i], full)[0]
-            assert np.max(np.abs(gain - gain[mirror])) < 1e-14
+            assert np.max(np.abs(ev([i], rows) - ev([i], mirror))) < 1e-14
+            assert np.max(np.abs(ev([i], rows) - _allocating_bloch_gains(ev, [i], _SEED_DIRS))) <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)
@@ -722,18 +745,43 @@ def test_seed_rows_are_the_distinct_half_of_the_mirrored_grid(rng):
 )
 def test_property_top_seed_values_match_projector_rows(kinds, measured, seed):
     # The seeds are scored on the Bloch kernel, one product against the whole
-    # table per state; their best three values must be those of the grid's
+    # table per state; their best three values must be those of the seeds'
     # complex projector rows.  Which seeds they are may differ on ties, as on
     # every real X state, whose gain ignores phi.
     rng = np.random.default_rng(seed)
     stack = np.stack([_STATE_KINDS[kind](rng) for kind in kinds])
     ev = _GainEvaluator(stack, measured)
     order, value = _top_seeds(ev, _thread_work())
-    rows = next(_grid_rows(_SEED_GRID_N))
+    rows = _projector_rows(_SEED_THETA, _SEED_PHI)[None]
     for i in range(len(kinds)):
         want = np.sort(ev([i], rows)[0])[::-1][:3]
         assert np.max(np.abs(value[i] - want)) <= 1e-14
         assert np.array_equal(value[i], _allocating_bloch_gains(ev, [i], _SEED_DIRS)[0, order[i]])
+
+
+def _z_classical_quantum():
+    """0.3 rho (x) |1><1| + 0.7 rho' (x) |0><0|: classical-quantum in the z basis of B."""
+    rho = np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]])
+    return 0.3 * np.kron(np.diag([0.6, 0.4]), np.diag([1.0, 0.0])) + 0.7 * np.kron(rho, np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "make, measured",
+    [
+        (_z_classical_quantum, Qubit.B),
+        (lambda: np.kron(np.diag([1.0, 0.0]), np.diag([0.2, 0.8])).astype(complex), Qubit.B),
+        (lambda: _raw_general_stack(39)[5], Qubit.A),  # t = 25, J = 6.7e-5
+    ],
+    ids=["classical-quantum", "product", "raw-general"],
+)
+def test_pole_states_start_from_three_distinct_measurements(make, measured):
+    # The 64x64 half-grid held the pole 64 times, so every state whose best
+    # seed was the pole started all three compass starts at that one point.
+    order = _top_seeds(_GainEvaluator(make()[None], measured), _thread_work())[0][0]
+    assert _SEED_DIRS[3, order[0]] == 1.0
+    dirs = _SEED_DIRS[1:, order]
+    gram = np.abs(dirs.T @ dirs)
+    assert gram[np.triu_indices(3, 1)].max() < 1.0 - 1e-6
 
 
 def _edge_x_state(rng):
@@ -966,9 +1014,7 @@ def _allocating_compass_oracle(stack, measured, advance):
         top = np.argpartition(gain, -3)[-3:]
         order[i] = top[np.argsort(gain[top])[::-1]]
         value[i] = gain[order[i]]
-    thetas = np.linspace(0.0, 0.5 * math.pi, _SEED_GRID_N)
-    phis = np.linspace(0.0, 2.0 * math.pi, _SEED_GRID_N, endpoint=False)
-    point = np.stack([thetas[order // _SEED_GRID_N], phis[order % _SEED_GRID_N]], axis=-1).reshape(-1, 2)
+    point = np.stack([_SEED_THETA[order], _SEED_PHI[order]], axis=-1).reshape(-1, 2)
     value, owner = value.ravel(), np.repeat(np.arange(n), 3)
     step = np.full(3 * n, 0.5)
     while (live := np.flatnonzero(step >= correlations._STEP_TOL)).size:
@@ -1229,7 +1275,7 @@ def test_threads_keep_their_own_workspace(rng):
 
 @pytest.mark.parametrize("n", [1, 6, _STARTS_PER_CALL // 3, _STARTS_PER_CALL // 3 + 1, 21, 22, 101])
 def test_one_seed_product_per_state_and_few_view_shapes(monkeypatch, rng, n):
-    # The seeds take one product per state against the whole (4, 2048)
+    # The seeds take one product per state against the whole (4, 1297)
     # table, on the state's own coefficient rows.  Each compass call takes
     # whole starts, at most _STARTS_PER_CALL rows of len(_MOVES) directions,
     # so the workspace caches at most _STARTS_PER_CALL + 1 shapes of views.
